@@ -330,7 +330,6 @@ def cmd_work(args) -> int:
             configs=args.config or ["base"],
             cores=args.cores,
             simulate=args.simulate,
-            baselines=args.baselines,
         )
         queue = WorkQueue(store.root)
         added = queue.enqueue_many(jobs)
@@ -583,9 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--cores", type=int, default=4)
     wp.add_argument("--simulate", action="store_true",
                     help="also enqueue reference simulations")
-    wp.add_argument("--baselines", action="store_true",
-                    help="also enqueue per-chunk reference profiles "
-                         "(bench equivalence baselines)")
 
     wp = wsub.add_parser(
         "run",

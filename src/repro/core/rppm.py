@@ -11,16 +11,15 @@ stacks compare directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
 from repro.core.epoch_model import EpochCostCache, predict_epoch_cycles
 from repro.obs import span
 from repro.profiler.profile import WorkloadProfile
-from repro.runtime.scheduler import run_schedule_batched
+from repro.runtime.scheduler import run_schedule
 from repro.runtime.timeline import Timeline
 
 
@@ -62,8 +61,6 @@ def predict(
     profile: WorkloadProfile,
     config: MulticoreConfig,
     session=None,
-    *,
-    cache: Optional[EpochCostCache] = None,
 ) -> PredictionResult:
     """Predict multithreaded execution on ``config`` from ``profile``.
 
@@ -71,22 +68,11 @@ def predict(
     per-(thread, pool) Eq.-1 memo resident across calls for the same
     (profile, config) pair — the memo is read/extend-only, so reuse is
     safe and repeat predictions skip every Eq.-1 evaluation.
-
-    .. deprecated::
-        ``cache=`` (a manually managed :class:`EpochCostCache`) is a
-        deprecated shim kept for one release; pass a ``session``.
     """
-    if cache is not None:
-        warnings.warn(
-            "predict(cache=...) is deprecated; pass "
-            "session=Session(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if cache is None and session is not None:
+    if session is not None:
         cache = session.cost_cache(profile, config)
         session.record("predictions")
-    if cache is None:
+    else:
         cache = EpochCostCache(profile, config)
 
     with span("predict", workload=profile.name, config=config.name):
@@ -97,19 +83,19 @@ def predict(
             per_segment = []
             for segment in thread.segments:
                 cycles, stack = predict_epoch_cycles(cache, thread, segment)
-                per_segment.append(cycles)
+                per_segment.append(float(cycles))
                 stacks[thread.thread_id].add(stack)
             durations.append(per_segment)
 
         # Phase 2: symbolic execution of the synchronization structure
-        # (Algorithm 2) over the predicted per-epoch times.  The epoch
-        # times are all known up front, so the replay advances in batched
-        # strides between synchronization points.
+        # (Algorithm 2) over the predicted per-epoch times.
         programs = [
             [segment.event for segment in thread.segments]
             for thread in profile.threads
         ]
-        schedule = run_schedule_batched(programs, durations)
+        schedule = run_schedule(
+            programs, lambda tid, idx, start: durations[tid][idx]
+        )
 
         threads = []
         for thread in profile.threads:

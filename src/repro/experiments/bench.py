@@ -17,11 +17,7 @@ Measures the components the paper's "rapid" claim rests on:
   against the preserved per-segment spec
   (:func:`repro.workloads.generator.expand`), with every trace
   cross-checked digest-identical;
-* the DES replay — the *exact* chunk-granular synchronization
-  programs the profiler schedules, replayed through the batched
-  scheduler (:func:`repro.runtime.scheduler.run_schedule_batched`)
-  and the event-at-a-time spec, with every timeline cross-checked
-  digest-identical; plus the whole profiler fast path
+* the whole profiler fast path
   (:func:`repro.profiler.profiler.profile_workload`) against the
   preserved per-chunk spec
   (:func:`~repro.profiler.profiler.profile_workload_reference`), with
@@ -79,11 +75,14 @@ from repro.profiler.reference import (
     ScalarLocalityCollector,
 )
 from repro.runtime.chunking import chunk_trace
-from repro.runtime.scheduler import run_schedule, run_schedule_batched
 from repro.workloads.engine import EngineStats, ExpansionEngine
 from repro.workloads.generator import expand
 from repro.workloads.ir import OP_STORE, fetch_lines
 
+#: 7: drops the batched DES replay from the ``replay`` section
+#: (``programs``, ``events``, ``strides``, ``batched_s``, ``spec_s``,
+#: ``speedup``, ``digest_mismatches``) with its floor and digest check;
+#: the section keeps the profiler fast path vs the per-chunk reference.
 #: 5: adds the ``replay`` section (batched DES scheduler vs the
 #: event-at-a-time spec with timeline-digest cross-check, and the
 #: vectorized profiler fast path vs the per-chunk reference with a
@@ -102,7 +101,7 @@ from repro.workloads.ir import OP_STORE, fetch_lines
 #: ``REPRO_OBS=off`` on the warm suite loop) and commits the
 #: obs-overhead ceiling.
 #: 2: added the ``ilp`` section (batched scoreboard vs scalar spec).
-BENCH_SCHEMA = 6
+BENCH_SCHEMA = 7
 #: Quick-mode subset: three locality personalities plus streamcluster,
 #: whose sparse address space exercises the engine's fallback path.
 QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
@@ -112,21 +111,11 @@ QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
 #: ILP ~13-16x, warm-cache expand >100x, profiler fast path ~2-3x
 #: over the per-chunk reference, suite ~10-14 M instr/s session-warm
 #: on a developer-class core) to absorb noisy shared runners.
-#:
-#: ``replay_speedup`` is a *cost-neutrality guard*, not a speedup
-#: claim: on the suite's symmetric lockstep threads, chunk end times
-#: tie with the heap top, so strides rarely admit more than one
-#: segment and the batched scheduler's value is the exact
-#: interleaving (``order``) it hands the vectorized emitters — it
-#: must merely stay within ~2x of the event-at-a-time spec.  Stride
-#: elision pays off on single-thread and asymmetric programs (an
-#: unbounded stride when the queue is empty).
 CHECK_FLOORS: Dict[str, float] = {
     "collector_speedup": 5.0,
     "ilp_speedup": 9.0,
     "ilp_max_rel_err": 0.0,
     "expand_speedup": 3.0,
-    "replay_speedup": 0.5,
     "profiler_speedup": 1.5,
     "suite_min_ips": 4.0e6,
     #: Ceiling, not floor: always-on span instrumentation may cost at
@@ -328,49 +317,6 @@ def _run_ilp_scalar(pools) -> List:
     return [build_ilp_table(samples) for samples in pools]
 
 
-def extract_replay_programs(
-    traces: Sequence,
-    chunk: int = 4096,
-) -> List[Tuple[List[List], List[List[float]]]]:
-    """Chunk-granular sync programs, as the profiler schedules them.
-
-    Each trace becomes ``(programs, durations)``: one event list per
-    thread (NONE for all but the final chunk of each segment, the
-    original synchronization event on the last) and one duration per
-    chunk — instruction counts, the same unit-cost convention the
-    profiler's functional replay uses to interleave chunks.
-    """
-    cases = []
-    for trace in traces:
-        ctrace = chunk_trace(trace, chunk)
-        programs = [
-            [seg.event for seg in t.segments] for t in ctrace.threads
-        ]
-        durations = [
-            [float(seg.block.n_instructions) for seg in t.segments]
-            for t in ctrace.threads
-        ]
-        cases.append((programs, durations))
-    return cases
-
-
-def _run_replay_batched(cases) -> List:
-    return [
-        run_schedule_batched(programs, durations)
-        for programs, durations in cases
-    ]
-
-
-def _run_replay_spec(cases) -> List:
-    results = []
-    for programs, durations in cases:
-        def execute(tid, idx, start, durs=durations):
-            return durs[tid][idx]
-
-        results.append(run_schedule(programs, execute))
-    return results
-
-
 def _table_rel_err(batch_tables, scalar_tables) -> float:
     """Worst relative disagreement across all table fields."""
     worst = 0.0
@@ -502,7 +448,6 @@ def run_profiler_bench(
 
     pools = extract_ilp_pools(refs, scale, traces=traces)
     n_samples = sum(len(p) for p in pools)
-    replay_cases = extract_replay_programs(traces)
     del traces  # the suite loop below re-resolves through the cache
     kernel_before = KERNEL_STATS.snapshot()
     batch_tables = _run_ilp_batch(pools)  # warm-up + equivalence input
@@ -512,26 +457,6 @@ def run_profiler_bench(
     ilp_batch_s, ilp_scalar_s = _interleaved(
         lambda: _run_ilp_batch(pools),
         lambda: _run_ilp_scalar(pools),
-        reps,
-    )
-
-    # -- DES replay: batched scheduler vs event-at-a-time spec --------------
-    # The exact chunk-granular programs the profiler schedules, with
-    # every timeline cross-checked digest-identical.
-    batched_results = _run_replay_batched(replay_cases)  # warm-up
-    spec_results = _run_replay_spec(replay_cases)
-    replay_mismatches = sum(
-        1 for b, s in zip(batched_results, spec_results)
-        if b.timeline.digest() != s.timeline.digest()
-    )
-    replay_events = sum(
-        len(p) for programs, _ in replay_cases for p in programs
-    )
-    replay_strides = sum(len(r.order) for r in batched_results)
-    del batched_results, spec_results
-    replay_batched_s, replay_spec_s = _interleaved(
-        lambda: _run_replay_batched(replay_cases),
-        lambda: _run_replay_spec(replay_cases),
         reps,
     )
 
@@ -658,13 +583,6 @@ def run_profiler_bench(
             "digest_mismatches": int(digest_mismatches),
         },
         "replay": {
-            "programs": len(replay_cases),
-            "events": int(replay_events),
-            "strides": int(replay_strides),
-            "batched_s": replay_batched_s,
-            "spec_s": replay_spec_s,
-            "speedup": replay_spec_s / replay_batched_s,
-            "digest_mismatches": int(replay_mismatches),
             "profiler_fast_s": suite_s,
             "profiler_reference_s": suite_reference_s,
             "profiler_speedup": suite_reference_s / suite_s,
@@ -783,14 +701,14 @@ def check_service(record: Dict) -> List[str]:
     """Validate a serving record against :data:`SERVICE_FLOORS`."""
     failures = []
     warm = record["warm"]
-    rps = warm["throughput_rps"]
+    rps = warm["goodput_rps"]
     if rps < SERVICE_FLOORS["warm_rps"]:
         failures.append(
             f"service warm-cache throughput {rps:.0f} req/s below "
             f"committed floor {SERVICE_FLOORS['warm_rps']:.0f} req/s"
         )
     total = warm["attempts"]
-    error_rate = warm["errors"] / total if total else 1.0
+    error_rate = warm["unexplained_errors"] / total if total else 1.0
     if error_rate > SERVICE_FLOORS["max_error_rate"]:
         failures.append(
             f"service error rate {error_rate:.2%} above tolerance "
@@ -888,9 +806,9 @@ def render_service(record: Dict) -> str:
         f"service bench ({record.get('mode', '?')}, "
         f"{warm['benchmark']} on {warm['config']}, "
         f"concurrency={warm['concurrency']})",
-        f"  warm /v1/predict     : {warm['throughput_rps']:8.0f} "
+        f"  warm /v1/predict     : {warm['goodput_rps']:8.0f} "
         f"req/s  (p50 {lat['p50']:.2f} ms, p99 {lat['p99']:.2f} ms, "
-        f"{warm['errors']} errors)",
+        f"{warm['unexplained_errors']} errors)",
         f"  result-cache hit rate: {warm['cache_hit_rate']:8.1%}  "
         f"({warm['single_flight_collapsed']} single-flight "
         f"collapses)",
@@ -1118,19 +1036,6 @@ def check_bench(result: Dict) -> List[str]:
             f"legacy generator spec (digests must be identical)"
         )
     replay = result["replay"]
-    if replay["speedup"] < CHECK_FLOORS["replay_speedup"]:
-        failures.append(
-            f"batched DES replay at {replay['speedup']:.2f}x of the "
-            f"spec scheduler, below the "
-            f"{CHECK_FLOORS['replay_speedup']:.1f}x cost-neutrality "
-            f"guard"
-        )
-    if replay["digest_mismatches"] > 0:
-        failures.append(
-            f"{replay['digest_mismatches']} batched replay(s) diverge "
-            f"from the event-at-a-time scheduler spec (timeline "
-            f"digests must be identical)"
-        )
     if replay["profiler_speedup"] < CHECK_FLOORS["profiler_speedup"]:
         failures.append(
             f"profiler fast-path speedup {replay['profiler_speedup']:.2f}x "
@@ -1199,10 +1104,6 @@ def render_bench(result: Dict) -> str:
         f"memo {e['memo_hit_rate']:.0%}, "
         f"arenas {e['arena_bytes'] / 2**20:.0f} MiB, "
         f"{e['digest_mismatches']} digest mismatches)",
-        f"  batched DES replay   : {r['events']:,} events in "
-        f"{r['batched_s'] * 1e3:.1f} ms batched vs "
-        f"{r['spec_s'] * 1e3:.1f} ms spec  ({r['speedup']:.1f}x, "
-        f"{r['digest_mismatches']} digest mismatches)",
         f"  profiler fast path   : {r['profiler_fast_s']:.2f}s vs "
         f"{r['profiler_reference_s']:.2f}s per-chunk reference  "
         f"({r['profiler_speedup']:.1f}x, {r['profile_mismatches']} "

@@ -10,14 +10,12 @@ the more-threads-than-cores future work.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.config import MulticoreConfig
 from repro.arch.presets import table_iv_config
 from repro.core.rppm import predict
-from repro.experiments.store import TraceCache
 from repro.profiler.profiler import profile_workload
 from repro.simulator.multicore import simulate
 from repro.workloads.engine import expand as engine_expand
@@ -74,8 +72,6 @@ def run_scaling_curve(
     config: Optional[MulticoreConfig] = None,
     scale: float = 1.0,
     session=None,
-    *,
-    trace_cache: Optional[TraceCache] = None,
 ) -> ScalingCurve:
     """Predicted and simulated scaling of one Rodinia benchmark.
 
@@ -91,18 +87,7 @@ def run_scaling_curve(
     A :class:`~repro.core.session.Session` shares trace expansions,
     ILP tables and segment precompute across the sweep's points (and,
     store-backed, across runs).
-
-    .. deprecated::
-        ``trace_cache=`` is a deprecated shim kept for one release;
-        pass a ``session``.
     """
-    if trace_cache is not None:
-        warnings.warn(
-            "run_scaling_curve(trace_cache=...) is deprecated; pass "
-            "session=Session(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if benchmark not in RODINIA:
         raise ValueError(f"unknown Rodinia benchmark {benchmark!r}")
     config = config or table_iv_config("base")
@@ -115,12 +100,10 @@ def run_scaling_curve(
         )
         # Each point's trace is shared between profiling and
         # simulation via the local below and freed when it rebinds; a
-        # session (or caller-supplied TraceCache) additionally shares
-        # points across sweeps (and, store-backed, across runs) at the
-        # cost of retaining them in its LRU.
-        if trace_cache is not None:
-            trace = trace_cache.get(spec)
-        elif session is not None:
+        # session additionally shares points across sweeps (and,
+        # store-backed, across runs) at the cost of retaining them in
+        # its LRU.
+        if session is not None:
             trace = session.traces.get(spec)
         else:
             trace = engine_expand(spec)

@@ -11,12 +11,12 @@ Layout: ``<root>/<kind>/<key>.<ext>`` where ``kind`` is ``profiles``
 (JSON via ``WorkloadProfile.to_dict``), ``ilptables`` (JSON via
 ``ILPTable.to_dict``, content-addressed by micro-trace sample digest —
 the profiling grid is configuration-independent, so one table serves
-every design-space point), ``traces`` (pickled columnar arenas,
+every design-space point), ``traces`` (raw-buffer columnar arenas,
 content-addressed by the full workload spec — see :class:`TraceCache`),
-``predictions`` or ``simulations`` (pickled result dataclasses).  Every artifact embeds ``SCHEMA_VERSION``;
-stale-version, truncated or otherwise corrupt files are treated as
-misses, so a cache survives arbitrary upgrades by silently
-recomputing.
+``predictions`` or ``simulations`` (pickled result dataclasses).  Every
+artifact embeds ``SCHEMA_VERSION``; stale-version, truncated or
+otherwise corrupt files are treated as misses, so a cache survives
+arbitrary upgrades by silently recomputing.
 
 Keys are deterministic SHA-256 fingerprints of canonicalized
 structures — Python's salted ``hash()`` is useless across processes,
@@ -47,9 +47,7 @@ from repro.workloads.engine import (
     ExpansionEngine,
     default_engine,
     load_trace_arena,
-    pack_trace,
     pack_trace_arena,
-    unpack_trace,
 )
 from repro.workloads.ir import WorkloadTrace
 from repro.workloads.spec import WorkloadSpec
@@ -482,7 +480,7 @@ class ProfileStore:
         self.counters.healthy_load()
         return table
 
-    # -- traces (raw-buffer arena, mmap-loaded; pickle for compat) ----------
+    # -- traces (raw-buffer arena, mmap-loaded) -----------------------------
 
     def save_trace(self, key: str, trace: WorkloadTrace) -> Path:
         """Persist a trace in the raw-buffer arena layout.
@@ -500,46 +498,7 @@ class ProfileStore:
         self._write(path, payload)
         return path
 
-    def save_trace_pickle(self, key: str, trace: WorkloadTrace) -> Path:
-        """Persist a trace in the legacy pickle-envelope format.
-
-        Kept as the compatibility format: loads fall back to it, so a
-        cache directory written by an older build keeps serving hits.
-        """
-        path = self._path("traces", key, "pkl")
-        payload = pickle.dumps({
-            "schema": SCHEMA_VERSION,
-            "digest": trace.content_digest(),
-            "trace": pack_trace(trace),
-        })
-        self._write(path, payload)
-        return path
-
     def load_trace(self, key: str) -> Optional[WorkloadTrace]:
-        """Load a trace: mmap-backed arena first, pickle fallback."""
-        trace = self._load_trace_arena(key)
-        if trace is not None:
-            return trace
-        payload = self._load("traces", key, "pkl")
-        if payload is None:
-            return None
-        try:
-            trace = unpack_trace(payload["trace"])
-            trace.validate()
-            # Structural validation cannot see array corruption; the
-            # embedded digest can.  A mismatch (bit rot, truncated
-            # copy of the cache dir) quarantines and re-expands.
-            if trace.content_digest() != payload.get("digest"):
-                raise ValueError("trace content digest mismatch")
-        except Exception:
-            self._quarantine(
-                self._path("traces", key, "pkl"), "traces", "corrupt"
-            )
-            return None
-        self.counters.healthy_load()
-        return trace
-
-    def _load_trace_arena(self, key: str) -> Optional[WorkloadTrace]:
         """Zero-copy arena load: mmap + ``TraceBlock`` views over it.
 
         The mapping is read-only (``ACCESS_READ``), so every column

@@ -67,7 +67,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.store import ProfileStore, fingerprint
 from repro.obs import REGISTRY, get_logger
@@ -92,9 +92,8 @@ DEFAULT_HEARTBEAT_S = 3.0
 #: prediction/simulation jobs behind them read the profile artifact
 #: (any worker *can* compute a missing profile itself — idempotent —
 #: but ordering avoids redundant work).
-JOB_KINDS = ("profile", "predict", "simulate", "bench-baseline")
-_PRIORITY = {"profile": 0, "predict": 1, "simulate": 1,
-             "bench-baseline": 2}
+JOB_KINDS = ("profile", "predict", "simulate")
+_PRIORITY = {"profile": 0, "predict": 1, "simulate": 1}
 
 _log = get_logger("repro.work")
 
@@ -723,28 +722,9 @@ class JobExecutor:
             cache.simulation(
                 ref, table_iv_config(job.config, cores=job.cores)
             )
-        elif job.kind == "bench-baseline":
-            self._baseline(cache, ref)
         if self.settle_s > 0.0:
             time.sleep(self.settle_s)
         return self.store.counters.snapshot()["writes"] > before
-
-    def _baseline(self, cache, ref) -> None:
-        """Reference (per-chunk spec) profile, for equivalence audits.
-
-        Stored under the ``baselines`` kind with the profile's own
-        store key, so a fleet can cross-check the vectorized pipeline
-        against the executable spec without re-running it per audit.
-        """
-        from repro.profiler.profiler import profile_workload_reference
-
-        key = cache._profile_key(ref)
-        if self.store.load_result("baselines", key) is not None:
-            return
-        profile = profile_workload_reference(
-            cache.trace(ref), chunk=cache.chunk
-        )
-        self.store.save_result("baselines", key, profile.to_dict())
 
 
 def plan_suite_jobs(
@@ -754,7 +734,6 @@ def plan_suite_jobs(
     configs: Sequence[str] = (),
     cores: int = 4,
     simulate: bool = False,
-    baselines: bool = False,
 ) -> List[Job]:
     """The job set for a suite sweep: profiles, then per-config work."""
     jobs: List[Job] = []
@@ -774,11 +753,6 @@ def plan_suite_jobs(
                     benchmark=ref.name, scale=scale, chunk=chunk,
                     config=config, cores=cores,
                 ))
-        if baselines:
-            jobs.append(Job(
-                kind="bench-baseline", suite=ref.suite,
-                benchmark=ref.name, scale=scale, chunk=chunk,
-            ))
     return jobs
 
 

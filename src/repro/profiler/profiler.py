@@ -26,11 +26,12 @@ Pipeline stages (expand -> prepare -> replay -> collect):
    pure function of the op/iline columns, they are memoized per
    ``(static_key, chunk)`` in a :class:`SegmentPrepCache` — the ~81%
    of repeated segment work across a suite is computed once.
-3. **Replay** — the DES scheduler advances in batched strides
-   (:func:`repro.runtime.scheduler.run_schedule_batched`): only the
-   chunk *interleaving* depends on the replay, so the replay records
-   order and nothing else.  Per-pool accumulation is per-thread
-   program order and therefore hoisted out of the replay entirely.
+3. **Replay** — the DES scheduler
+   (:func:`repro.runtime.scheduler.run_schedule`) replays the chunks at
+   unit cost per instruction: only the chunk *interleaving* depends on
+   the replay, so the execute callback records order and nothing
+   else.  Per-pool accumulation is per-thread program order and
+   therefore hoisted out of the replay entirely.
 4. **Collect** — the interleaved memory stream feeds the whole-trace
    locality engine (:mod:`repro.profiler.batch`), branch statistics go
    through an optional content-addressed memo, and ILP tables are
@@ -45,7 +46,6 @@ equivalence suite pins identical profiles between the two.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -67,7 +67,7 @@ from repro.profiler.profile import (
     WorkloadProfile,
 )
 from repro.runtime.chunking import _NONE_EVENT, chunk_offsets, chunk_trace
-from repro.runtime.scheduler import run_schedule, run_schedule_batched
+from repro.runtime.scheduler import run_schedule
 from repro.workloads.engine import expand
 from repro.workloads.ir import (
     OP_BRANCH,
@@ -652,18 +652,27 @@ def _profile_trace(
             plans.append(plan)
 
     with span("profile.replay"):
-        # Replay: only the chunk interleaving depends on it.
-        result = run_schedule_batched(
-            [plan.events for plan in plans],
-            [plan.durations for plan in plans],
-        )
+        # Replay: only the chunk interleaving depends on it, so the
+        # callback records the order as maximal same-thread strides
+        # ``(tid, lo, hi)`` and returns the unit-cost duration.
+        order: List[Tuple[int, int, int]] = []
+        all_durations = [plan.durations for plan in plans]
+
+        def execute(tid: int, idx: int, start: float) -> float:
+            if order and order[-1][0] == tid and order[-1][2] == idx:
+                order[-1] = (tid, order[-1][1], idx + 1)
+            else:
+                order.append((tid, idx, idx + 1))
+            return all_durations[tid][idx]
+
+        run_schedule([plan.events for plan in plans], execute)
 
     with span("profile.collect", pools=len(pool_list)):
         # Emit the interleaved memory stream, one entry per maximal
         # same-pool sub-stride (merging adjacent same-pool chunks is
         # exactly equivalent for the batch locality engine).
         data_schedule: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
-        for tid, lo, hi in result.order:
+        for tid, lo, hi in order:
             plan = plans[tid]
             cuts = plan.pool_cuts
             chunk_pool = plan.chunk_pool
@@ -722,9 +731,6 @@ def profile_workload(
     workload: Union[WorkloadSpec, WorkloadTrace],
     chunk: int = 4096,
     session=None,
-    *,
-    ilp_cache: Optional[ILPTableCache] = None,
-    trace_cache=None,
 ) -> WorkloadProfile:
     """Profile a workload once, for use across all target configurations.
 
@@ -742,32 +748,18 @@ def profile_workload(
         statistics and segment precompute — plus usage counters.  This
         is the one cache surface; construct it with
         ``Session.from_store(...)`` or ``Session.ephemeral()``.
-
-    .. deprecated::
-        ``ilp_cache=`` / ``trace_cache=`` are deprecated shims kept for
-        one release; pass a ``session`` instead.
     """
-    if ilp_cache is not None or trace_cache is not None:
-        warnings.warn(
-            "profile_workload(ilp_cache=..., trace_cache=...) is "
-            "deprecated; pass session=Session(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    traces = trace_cache
+    ilp_cache = None
     branch_cache = None
     prep_cache = _DEFAULT_PREP_CACHE
     if session is not None:
-        if traces is None:
-            traces = session.traces
-        if ilp_cache is None:
-            ilp_cache = session.ilp
+        ilp_cache = session.ilp
         branch_cache = session.branches
         prep_cache = session.prep
         session.record("profiles")
     if isinstance(workload, WorkloadSpec):
         trace = (
-            traces.get(workload) if traces is not None
+            session.traces.get(workload) if session is not None
             else expand(workload)
         )
     else:

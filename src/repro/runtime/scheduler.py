@@ -15,26 +15,15 @@ callback; the scheduler coordinates the threads:
 Events are processed in global event-time order (a classic DES), so
 lock-grant and item-consumption ordering is deterministic: FIFO by
 arrival time, ties broken by a monotone sequence number.
-
-When every segment duration is known up front (the profiler's unit
-costs, RPPM's phase-1 predictions), :func:`run_schedule_batched`
-replays the same structure in batched strides: a thread whose upcoming
-segments carry no synchronization executes them without heap
-round-trips whenever no pending event could interleave.  The batched
-path is exact by construction — a stride segment is admitted only when
-the spec scheduler would pop this thread's freshly pushed event next
-anyway — and :class:`_Scheduler` is preserved as the executable spec,
-with bit-identity (digest-identical timelines, identical execute
-order) enforced by the equivalence suite.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.runtime.timeline import Interval, Timeline
+from repro.runtime.timeline import Timeline
 from repro.workloads.ir import SyncKind, SyncOp
 
 #: ``execute(thread_id, segment_index, start_time) -> duration``.
@@ -287,115 +276,6 @@ class _Scheduler:
         )
 
 
-@dataclass
-class BatchedScheduleResult(ScheduleResult):
-    """A :class:`ScheduleResult` plus the chunk execution order.
-
-    ``order`` lists maximal strides ``(tid, lo, hi)``: thread ``tid``
-    executed segments ``lo..hi-1`` consecutively, with no other
-    thread's segment in between.  Flattening the strides reproduces the
-    spec scheduler's per-segment ``execute`` call order exactly.
-    """
-
-    order: List[Tuple[int, int, int]] = field(default_factory=list)
-
-
-class _BatchedScheduler(_Scheduler):
-    """DES replay over precomputed durations, advanced in strides.
-
-    The spec scheduler pushes ``(end, seq, tid)`` per segment and pops
-    it right back when no earlier event is pending.  With durations
-    known up front, that round-trip is skipped: while the thread's
-    upcoming segments terminate in NONE and each end time is *strictly*
-    earlier than the earliest pending event, the segments execute
-    inline.  Strictness matters — at equal times the pending heap entry
-    carries the smaller sequence number and pops first — and the
-    sequence counter still advances once per segment so every later
-    FIFO tie-break matches the spec bit for bit.
-    """
-
-    def __init__(
-        self,
-        programs: List[List[SyncOp]],
-        durations: Sequence[Sequence[float]],
-    ) -> None:
-        if len(durations) != len(programs):
-            raise ValueError("need one duration list per thread")
-        for tid, (prog, durs) in enumerate(zip(programs, durations)):
-            if len(durs) != len(prog):
-                raise ValueError(
-                    f"thread {tid}: {len(durs)} durations for "
-                    f"{len(prog)} segments"
-                )
-        self._durations = [list(map(float, durs)) for durs in durations]
-        self.order: List[Tuple[int, int, int]] = []
-        super().__init__(programs, self._replay_execute)
-        # none_runs[tid][i]: number of consecutive segments starting at
-        # i whose terminating event is NONE (the stride-eligible run).
-        self._none_runs = []
-        for prog in programs:
-            runs = [0] * (len(prog) + 1)
-            for i in range(len(prog) - 1, -1, -1):
-                if prog[i].kind is SyncKind.NONE:
-                    runs[i] = runs[i + 1] + 1
-            self._none_runs.append(runs)
-
-    def _replay_execute(self, tid: int, idx: int, start: float) -> float:
-        # _push_order, inlined: this runs once per non-strided segment.
-        order = self.order
-        if order and order[-1][0] == tid and order[-1][2] == idx:
-            order[-1] = (tid, order[-1][1], idx + 1)
-        else:
-            order.append((tid, idx, idx + 1))
-        return self._durations[tid][idx]
-
-    def _push_order(self, tid: int, lo: int, hi: int) -> None:
-        order = self.order
-        if order and order[-1][0] == tid and order[-1][2] == lo:
-            order[-1] = (tid, order[-1][1], hi)
-        else:
-            order.append((tid, lo, hi))
-
-    def _handle(self, tid: int, time: float, event: SyncOp) -> None:
-        # Strides are taken only from the NONE handler: it is the one
-        # handler that advances exactly this thread, so the heap top is
-        # a complete picture of what could interleave.  Handlers that
-        # wake several threads (CREATE, barrier release, unlock, puts)
-        # advance them mid-update, and a stride there would run ahead
-        # of events those threads are about to push.
-        if event.kind is not SyncKind.NONE:
-            super()._handle(tid, time, event)
-            return
-        state = self.threads[tid]
-        state.next_segment += 1
-        nxt = state.next_segment
-        runs = self._none_runs[tid]
-        k = runs[nxt] if nxt < len(runs) - 1 else 0
-        if k:
-            durs = self._durations[tid]
-            top = self.queue[0][0] if self.queue else None
-            active = self.timeline.active[tid]
-            t = state.time
-            done = 0
-            for i in range(nxt, nxt + k):
-                dur = durs[i]
-                if dur < 0:
-                    break  # defer to the spec path's ValueError
-                end = t + dur
-                if top is not None and end >= top:
-                    break  # the pending event pops first (ties by seq)
-                if end > t:
-                    active.append(Interval(t, end))
-                t = end
-                done += 1
-            if done:
-                self._push_order(tid, nxt, nxt + done)
-                self._seq += done
-                state.time = t
-                state.next_segment = nxt + done
-        self._advance(tid)
-
-
 def run_schedule(
     programs: List[List[SyncOp]], execute: ExecuteFn
 ) -> ScheduleResult:
@@ -412,27 +292,3 @@ def run_schedule(
     """
     return _Scheduler(programs, execute).run()
 
-
-def run_schedule_batched(
-    programs: List[List[SyncOp]],
-    durations: Sequence[Sequence[float]],
-) -> BatchedScheduleResult:
-    """Replay a synchronization structure over precomputed durations.
-
-    Bit-identical to :func:`run_schedule` with a callback returning
-    ``durations[tid][idx]`` — same timeline (digest-equal), same
-    deadlock diagnostics, same deterministic segment order — but
-    synchronization-free runs advance in batched strides instead of one
-    heap event per segment.  The result additionally carries ``order``,
-    the exact interleaving the spec scheduler would have produced,
-    which the profiler feeds to the batch locality engine.
-    """
-    scheduler = _BatchedScheduler(programs, durations)
-    result = scheduler.run()
-    return BatchedScheduleResult(
-        timeline=result.timeline,
-        end_time=result.end_time,
-        active=result.active,
-        idle=result.idle,
-        order=scheduler.order,
-    )

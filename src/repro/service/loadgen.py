@@ -49,7 +49,10 @@ from repro.service.client import (
 #: rps at N=1/2/4 under warm and cold-mix profiles, scaling ratios, a
 #: SIGKILL-respawn chaos record) and the host ``cpus`` the scaling
 #: floors derate by.
-SERVICE_BENCH_SCHEMA = 3
+#: 4: drops the schema-1 aliases ``requests``, ``errors`` and
+#: ``throughput_rps``; read ``ok``, ``unexplained_errors`` and
+#: ``goodput_rps``.
+SERVICE_BENCH_SCHEMA = 4
 
 _OUTCOMES = (
     "ok",
@@ -301,9 +304,6 @@ def run_loadgen(
         "scale": scale,
         "concurrency": concurrency,
         **drive,
-        "requests": drive["ok"],
-        "errors": drive["unexplained_errors"],  # schema-1 compatible
-        "throughput_rps": drive["goodput_rps"],
         "cache_hit_rate": (
             d_hits / d_lookups if d_lookups > 0 else 0.0
         ),

@@ -1052,11 +1052,14 @@ class BackgroundServer:
         if self._loop is not None and self._stop is not None:
             with contextlib.suppress(RuntimeError):
                 self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=self.join_timeout)
-            if self._thread.is_alive():
+        # A local reference: a concurrent stop() (e.g. a drain timer
+        # racing the owner's cleanup) may clear ``_thread`` mid-join.
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=self.join_timeout)
+            if thread.is_alive():
                 raise RuntimeError(
-                    f"service thread {self._thread.name!r} failed to "
+                    f"service thread {thread.name!r} failed to "
                     f"stop within join_timeout={self.join_timeout:.1f}s"
                 )
             self._thread = None

@@ -2,12 +2,14 @@
 
 The paper profiles real Rodinia/Parsec binaries with a Pin tool.  Here,
 workloads are *specifications* (:mod:`repro.workloads.spec`) expanded
-deterministically into concrete abstract-instruction traces
-(:mod:`repro.workloads.generator`).  The same traces feed both the
-profiler (:mod:`repro.profiler`) and the reference simulator
-(:mod:`repro.simulator`), so model and golden reference observe the same
-dynamic instruction stream, exactly as Pin and Sniper observe the same
-binary.
+deterministically into concrete abstract-instruction traces by the
+columnar engine (:mod:`repro.workloads.engine`; the per-segment
+:mod:`repro.workloads.generator` is its executable spec and test
+oracle, digest-identical by construction).  The same traces feed both
+the profiler (:mod:`repro.profiler`) and the reference simulator
+(:mod:`repro.simulator`), so model and golden reference observe the
+same dynamic instruction stream, exactly as Pin and Sniper observe the
+same binary.
 """
 
 from repro.workloads.ir import (
@@ -31,10 +33,10 @@ from repro.workloads.spec import (
     MemPattern,
     WorkloadSpec,
 )
-from repro.workloads.generator import expand
 from repro.workloads.engine import (
     ExpansionEngine,
     default_engine,
+    expand,
     expand_many,
 )
 from repro.workloads.builder import WorkloadBuilder

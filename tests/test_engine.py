@@ -117,6 +117,16 @@ class TestEquivalence:
             legacy_expand(spec), ExpansionEngine().expand(spec)
         )
 
+    def test_public_expand_is_the_engine(self):
+        import repro.workloads
+        from repro.workloads import engine
+
+        assert repro.workloads.expand is engine.expand
+        spec = barrier_workload(seed=5)
+        assert_traces_equal(
+            legacy_expand(spec), repro.workloads.expand(spec)
+        )
+
     def test_expand_many_matches_per_workload_expand(self):
         specs = [barrier_workload(seed=s) for s in (1, 2, 3)]
         eng = ExpansionEngine()

@@ -226,18 +226,6 @@ class TestMmapAliasing:
             second.content_digest() == small_trace.content_digest()
         )
 
-    def test_arena_and_pickle_loads_digest_identical(
-        self, store, small_trace
-    ):
-        store.save_trace(self.KEY, small_trace)
-        via_arena = store.load_trace(self.KEY)
-        store.save_trace_pickle("cd" * 32, small_trace)
-        via_pickle = store.load_trace("cd" * 32)
-        assert via_arena is not None and via_pickle is not None
-        assert (
-            via_arena.content_digest() == via_pickle.content_digest()
-        )
-
     def test_corrupt_arena_quarantined(self, store, small_trace):
         path = store.save_trace(self.KEY, small_trace)
         raw = bytearray(path.read_bytes())

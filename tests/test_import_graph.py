@@ -1,0 +1,84 @@
+"""Executable specs stay outside the production import graph.
+
+The scalar locality collectors, the scalar ILP table builder, the
+per-segment trace generator and the per-chunk profiler are preserved
+as test oracles.  Only the bench harness (``experiments/bench.py``)
+times production against them; no other module under ``src/repro``
+may import them, so production keeps one implementation per concern.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALLOWED = {SRC / "repro" / "experiments" / "bench.py"}
+
+#: Whole modules no production module may import.
+SPEC_MODULES = {"repro.profiler.reference"}
+#: ``(module, name)`` pairs no production module may import; a
+#: ``None`` module matches the name imported from anywhere.
+SPEC_NAMES = {
+    ("repro.profiler.ilp", "build_ilp_table"),
+    ("repro.workloads.generator", "expand"),
+    (None, "profile_workload_reference"),
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def _absolute(node: ast.ImportFrom, path: Path) -> str:
+    if not node.level:
+        return node.module or ""
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[:len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def spec_imports(path: Path) -> list:
+    """``module[.name]`` of every spec import in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in SPEC_MODULES:
+                    found.append(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute(node, path)
+            for alias in node.names:
+                full = f"{module}.{alias.name}"
+                if (
+                    module in SPEC_MODULES
+                    or full in SPEC_MODULES
+                    or (module, alias.name) in SPEC_NAMES
+                    or (None, alias.name) in SPEC_NAMES
+                ):
+                    found.append(full)
+    return found
+
+
+class TestImportGraph:
+    def test_specs_only_imported_by_bench(self):
+        offenders = {
+            str(path.relative_to(SRC)): spec_imports(path)
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if path not in ALLOWED and spec_imports(path)
+        }
+        assert offenders == {}
+
+    def test_guard_sees_the_bench_imports(self):
+        # The one allowed importer really imports every spec, so the
+        # guard above is matching the import forms the tree uses.
+        found = set(spec_imports(SRC / "repro" / "experiments" / "bench.py"))
+        assert "repro.workloads.generator.expand" in found
+        assert "repro.profiler.ilp.build_ilp_table" in found
+        assert "repro.profiler.profiler.profile_workload_reference" in found
+        assert any(f.startswith("repro.profiler.reference") for f in found)

@@ -246,33 +246,22 @@ class TestTraceKind:
         path.write_bytes(b"garbage")
         assert store.load_trace(key) is None
 
-    def test_bit_corrupted_trace_is_none(self, store):
-        # Loadable pickle, structurally valid trace, corrupted array
-        # content: only the embedded digest can catch this.  Exercises
-        # the legacy pickle-envelope compatibility path (the arena
-        # path's digest check lives in test_fleet_plane.py).
-        import pickle
-
-        from repro.workloads.engine import expand
-        spec = self._spec()
-        key = ProfileStore.trace_key(spec)
-        path = store.save_trace_pickle(key, expand(spec))
-        payload = pickle.loads(path.read_bytes())
-        payload["trace"]["threads"][0]["op"][0] ^= 1
-        path.write_bytes(pickle.dumps(payload))
-        assert store.load_trace(key) is None
-
     def test_stale_trace_is_none(self, store):
-        import pickle
-
-        from repro.workloads.engine import expand
+        # An arena from another schema version is quarantined as stale
+        # and reads as a miss (the caller re-expands and re-saves).
+        from repro.workloads.engine import expand, pack_trace_arena
         spec = self._spec()
         key = ProfileStore.trace_key(spec)
-        path = store.save_trace_pickle(key, expand(spec))
-        payload = pickle.loads(path.read_bytes())
-        payload["schema"] = SCHEMA_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
+        trace = expand(spec)
+        path = store.save_trace(key, trace)
+        path.write_bytes(pack_trace_arena(trace, meta={
+            "schema": SCHEMA_VERSION + 1,
+            "digest": trace.content_digest(),
+        }))
         assert store.load_trace(key) is None
+        assert store.health()["schema_stale"] == 1
+        assert not path.exists()
+        assert (store.root / "quarantine" / "traces" / path.name).exists()
 
 
 class TestStatsAndPrune:
