@@ -11,6 +11,9 @@ Measures the components the paper's "rapid" claim rests on:
   (:mod:`repro.profiler.ilp_batch`) and the scalar spec
   (:func:`repro.profiler.ilp.build_ilp_table`), with the resulting
   tables cross-checked for equivalence;
+* spec keying — the content address of every freshly built spec
+  (:meth:`~repro.experiments.store.TraceCache.key`), timed on its own
+  and reported as a share of the cold pipeline;
 * trace expansion — the full suite expanded through the columnar
   planner/executor engine (:mod:`repro.workloads.engine`) behind a
   content-addressed :class:`~repro.experiments.store.TraceCache`,
@@ -79,6 +82,10 @@ from repro.workloads.engine import EngineStats, ExpansionEngine
 from repro.workloads.generator import expand
 from repro.workloads.ir import OP_STORE, fetch_lines
 
+#: 8: adds the ``keying`` section (``specs``, ``s``, ``frac_of_cold``:
+#: fingerprinting freshly built specs, as a share of key + cold expand
+#: + cold profile time) and commits its ceiling; ``expand.cold_s`` no
+#: longer includes keying.
 #: 7: drops the batched DES replay from the ``replay`` section
 #: (``programs``, ``events``, ``strides``, ``batched_s``, ``spec_s``,
 #: ``speedup``, ``digest_mismatches``) with its floor and digest check;
@@ -101,7 +108,7 @@ from repro.workloads.ir import OP_STORE, fetch_lines
 #: ``REPRO_OBS=off`` on the warm suite loop) and commits the
 #: obs-overhead ceiling.
 #: 2: added the ``ilp`` section (batched scoreboard vs scalar spec).
-BENCH_SCHEMA = 7
+BENCH_SCHEMA = 8
 #: Quick-mode subset: three locality personalities plus streamcluster,
 #: whose sparse address space exercises the engine's fallback path.
 QUICK_BENCHMARKS = ("hotspot", "bfs", "srad", "streamcluster")
@@ -121,6 +128,9 @@ CHECK_FLOORS: Dict[str, float] = {
     #: Ceiling, not floor: always-on span instrumentation may cost at
     #: most this fraction of warm-suite wall clock vs REPRO_OBS=off.
     "obs_max_overhead": 0.05,
+    #: Ceiling: keying fresh specs may cost at most this fraction of
+    #: the cold pipeline (key + expand + profile).
+    "key_max_frac": 0.05,
 }
 
 #: Committed serving floors: warm-cache ``/v1/predict`` throughput
@@ -416,6 +426,12 @@ def run_profiler_bench(
     session = Session(engine=engine)
     tcache = session.traces
     specs = [build_workload(ref, scale) for ref in refs]
+    # Freshly built specs carry no memoized key: this is the full
+    # fingerprinting cost, which the expansion below then reuses.
+    t0 = time.perf_counter()
+    for spec in specs:
+        tcache.key(spec)
+    keying_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     traces = [tcache.get(s) for s in specs]  # cold: arenas + memo fill
     expand_cold_s = time.perf_counter() - t0
@@ -562,6 +578,13 @@ def run_profiler_bench(
             "dispatches": int(kernel["dispatches"]),
             "dispatches_per_step": DISPATCHES_PER_STEP,
             "pools_per_s": len(pools) / ilp_batch_s,
+        },
+        "keying": {
+            "specs": len(specs),
+            "s": keying_s,
+            "frac_of_cold": keying_s / (
+                keying_s + expand_cold_s + suite_cold_s
+            ),
         },
         "expand": {
             "instructions": int(expand_instr),
@@ -1060,6 +1083,18 @@ def check_bench(result: Dict) -> List[str]:
             f"below committed floor "
             f"{CHECK_FLOORS['suite_min_ips'] / 1e6:.1f} M instr/s"
         )
+    # Keying cost tracks the plan count, which toy scales leave as is
+    # while expansion and profiling shrink, so the ceiling (like the
+    # suite floor) holds only at the committed scale.
+    key_frac = result["keying"]["frac_of_cold"]
+    if result.get("scale", 1.0) >= 1.0 and (
+        key_frac > CHECK_FLOORS["key_max_frac"]
+    ):
+        failures.append(
+            f"spec keying {key_frac:.1%} of the cold "
+            f"pipeline above committed ceiling "
+            f"{CHECK_FLOORS['key_max_frac']:.0%}"
+        )
     # Obs overhead is a ratio of two timed loops: at toy --scale the
     # fixed span cost dominates a tiny workload, so (like the absolute
     # suite floor) it is enforced only at the committed scale.
@@ -1080,6 +1115,7 @@ def render_bench(result: Dict) -> str:
     i = result["ilp"]
     k = result["kernel"]
     e = result["expand"]
+    key = result["keying"]
     r = result["replay"]
     s = result["suite"]
     o = result["obs"]
@@ -1097,6 +1133,9 @@ def render_bench(result: Dict) -> str:
         f"{k['bucket_fill']:.1%} fill, {k['steps']} steps x "
         f"{k['dispatches_per_step']} dispatches "
         f"({k['pools_per_s']:.0f} pools/s)",
+        f"  spec keying          : {key['specs']} fresh specs in "
+        f"{key['s'] * 1e3:.1f} ms ({key['frac_of_cold']:.1%} of cold "
+        f"key + expand + profile)",
         f"  trace-arena expand   : {e['instructions']:,} micro-ops, "
         f"{e['warm_ips'] / 1e6:.1f} M instr/s warm cache vs "
         f"{e['legacy_ips'] / 1e6:.1f} M legacy  "

@@ -320,7 +320,7 @@ class TestProfilerIntegration:
 class TestBenchCheck:
     def _record(self, collector=10.0, ilp=16.0, err=0.0, ips=10e6,
                 expand=100.0, mismatches=0, profiler=2.5,
-                profile_mismatches=0):
+                profile_mismatches=0, key_frac=0.01):
         return {
             "collector": {"speedup": collector},
             "ilp": {"speedup": ilp, "max_rel_err": err},
@@ -328,6 +328,7 @@ class TestBenchCheck:
                 "speedup": expand,
                 "digest_mismatches": mismatches,
             },
+            "keying": {"frac_of_cold": key_frac},
             "replay": {
                 "profiler_speedup": profiler,
                 "profile_mismatches": profile_mismatches,
@@ -344,6 +345,7 @@ class TestBenchCheck:
         assert len(check_bench(self._record(ips=0.2e6))) == 1
         assert len(check_bench(self._record(expand=1.0))) == 1
         assert len(check_bench(self._record(profiler=1.0))) == 1
+        assert len(check_bench(self._record(key_frac=0.06))) == 1
         # Bit-identity: any non-zero divergence fires the check — for
         # the ILP tables, the expanded-trace digests and the fast-path
         # profiles alike.
@@ -353,12 +355,12 @@ class TestBenchCheck:
         assert len(check_bench(
             self._record(collector=0.5, ilp=0.5, err=1.0, ips=1.0,
                          expand=0.5, mismatches=2, profiler=1.0,
-                         profile_mismatches=1)
-        )) == 8
+                         profile_mismatches=1, key_frac=0.5)
+        )) == 9
 
     def test_suite_floor_skipped_at_toy_scales(self):
         # Absolute throughput is only meaningful at the committed
         # scale; probe runs with --scale 0.3 must not fire it.
-        record = self._record(ips=0.2e6)
+        record = self._record(ips=0.2e6, key_frac=0.5)
         record["scale"] = 0.3
         assert check_bench(record) == []
