@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Cache line size in bytes.  Both the profiler and the simulator work at
 #: cache-line granularity, so this is a global constant of the toolchain.
@@ -171,15 +171,6 @@ class CoreConfig:
             )
         )
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Duration of one core cycle in nanoseconds."""
-        return 1.0 / self.frequency_ghz
-
-    def peak_ops_per_second(self) -> float:
-        """Peak micro-ops per second (dispatch width x frequency)."""
-        return self.dispatch_width * self.frequency_ghz * 1e9
-
 
 @dataclass(frozen=True)
 class MemoryConfig:
@@ -240,16 +231,6 @@ class MulticoreConfig:
     def __hash__(self) -> int:
         return hash((self.name, self.cores, self.core, self.l1i, self.l1d,
                      self.l2, self.llc, self.memory, self.branch_predictor))
-
-    @property
-    def data_levels(self) -> Tuple[CacheConfig, CacheConfig, CacheConfig]:
-        """The data-side hierarchy from closest to furthest."""
-        return (self.l1d, self.l2, self.llc)
-
-    @property
-    def instruction_levels(self) -> Tuple[CacheConfig, CacheConfig, CacheConfig]:
-        """The instruction-side hierarchy (L1-I then unified L2, LLC)."""
-        return (self.l1i, self.l2, self.llc)
 
     def memory_latency_cycles(self) -> int:
         """LLC-miss round trip in core cycles."""

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.arch.presets import TABLE_IV, design_space
+from repro.arch.presets import design_space
 from repro.experiments.suites import (
     BenchmarkRef,
     RunCache,
@@ -157,8 +157,3 @@ def render_table5(result: Table5Result) -> str:
     )
     lines.append(f"{'average':>16s}  {avg}")
     return "\n".join(lines)
-
-
-def table_iv_names() -> List[str]:
-    """The five design points, for harness labelling."""
-    return list(TABLE_IV)

@@ -9,8 +9,9 @@ shared :class:`RunCache` — a three-level pipeline:
 2. an optional versioned on-disk :class:`~repro.experiments.store.
    ProfileStore`, shared across processes *and* across runs,
 3. :meth:`RunCache.prefetch`, which fans profiling / prediction /
-   simulation of many benchmarks out over a ``ProcessPoolExecutor``
-   and funnels the results back through levels 1-2.
+   simulation of many benchmarks out over the crash-safe work queue
+   (:mod:`~repro.experiments.workqueue`) and funnels the results back
+   through levels 1-2.
 
 Everything is keyed by (suite, benchmark, scale, chunk) plus — for
 predictions and simulations — a deterministic configuration
@@ -21,8 +22,6 @@ are.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -82,50 +81,6 @@ def build_workload(ref: BenchmarkRef, scale: float = 1.0):
     if ref.suite == "rodinia":
         return rodinia_workload(ref.name, scale=scale)
     return parsec_workload(ref.name, scale=scale)
-
-
-def _prefetch_worker(
-    suite: str,
-    name: str,
-    scale: float,
-    chunk: int,
-    configs: Sequence[MulticoreConfig],
-    do_sim: bool,
-    store_root: Optional[str] = None,
-) -> Tuple[str, WorkloadProfile, list, list]:
-    """Profile (and optionally predict/simulate) one benchmark.
-
-    Runs in a worker process; everything returned must pickle.  The
-    parent installs the results into its memory cache.  Workers write
-    the store directly (each its own benchmark's artifacts, plus the
-    content-addressed ``ilptables`` shared by all); every write goes
-    through the store's atomic temp-file + rename, so concurrent
-    writers are safe.
-
-    A benchmark lands here when *any* of its artifacts is missing.
-    The worker runs a worker-local :class:`RunCache` over the same
-    store, so the load-or-compute-then-persist logic exists in
-    exactly one place (the RunCache artifact methods): satisfied
-    artifacts (say, four of five design points simulated by an
-    earlier run) are read back rather than recomputed, new ones are
-    persisted in-worker, and a store-satisfied profile with cached
-    simulations never expands its trace at all.
-    """
-    ref = BenchmarkRef(suite, name)
-    # Non-strict: a worker that computed a result must return it to
-    # the parent even if persisting it fails (reads heal later).
-    store = (
-        ProfileStore(store_root, strict=False)
-        if store_root is not None else None
-    )
-    local = RunCache(scale=scale, store=store, chunk=chunk)
-    profile = local.profile(ref)
-    preds = [local.prediction(ref, config) for config in configs]
-    sims = (
-        [local.simulation(ref, config) for config in configs]
-        if do_sim else []
-    )
-    return ref.label, profile, preds, sims
 
 
 class RunCache:
@@ -284,11 +239,14 @@ class RunCache:
         """Profile (and optionally predict/simulate) many benchmarks.
 
         Benchmarks not already satisfied by the memory or disk cache
-        are dispatched to a ``ProcessPoolExecutor`` with ``workers``
-        processes (default: CPU count; values <= 1 run serially
-        in-process).  Results land in the memory cache and, when a
-        store is attached, on disk — so subsequent :meth:`profile` /
-        :meth:`prediction` / :meth:`simulation` calls are hits.
+        are computed.  With ``workers > 1`` (default: CPU count), a
+        store attached and Table IV preset configs, they drain through
+        the work queue on ``workers`` processes first; every other
+        case — no store, bespoke configs, a failed queue run — is
+        computed serially in-process.  Results land in the memory
+        cache and, when a store is attached, on disk — so subsequent
+        :meth:`profile` / :meth:`prediction` / :meth:`simulation`
+        calls are hits.
 
         Returns the labels that were actually (re)computed.
         """
@@ -301,31 +259,20 @@ class RunCache:
                     self._profiles[ref.label] = cached
                     needs_profile = False
             needs_results = False
+            kinds = [("prediction", self._predictions)]
+            if simulate:
+                kinds.append(("simulation", self._simulations))
             for config in configs:
-                if (ref.label, config) not in self._predictions:
+                for kind, memo in kinds:
+                    if (ref.label, config) in memo:
+                        continue
                     hit = None
                     if self.store is not None:
                         hit = self.store.load_result(
-                            "predictions", self._result_key(
-                                "prediction", ref, config
-                            )
+                            f"{kind}s", self._result_key(kind, ref, config)
                         )
                     if hit is not None:
-                        self._predictions[(ref.label, config)] = hit
-                    else:
-                        needs_results = True
-                if simulate and (
-                    (ref.label, config) not in self._simulations
-                ):
-                    hit = None
-                    if self.store is not None:
-                        hit = self.store.load_result(
-                            "simulations", self._result_key(
-                                "simulation", ref, config
-                            )
-                        )
-                    if hit is not None:
-                        self._simulations[(ref.label, config)] = hit
+                        memo[(ref.label, config)] = hit
                     else:
                         needs_results = True
             if needs_profile or needs_results:
@@ -335,47 +282,14 @@ class RunCache:
             return []
         if workers is None:
             workers = os.cpu_count() or 1
-        if workers <= 1 or len(todo) == 1:
-            self._prefetch_serial(todo, configs, simulate)
-            return [ref.label for ref in todo]
-
-        if self.store is not None and self._queue_eligible(configs):
-            done = self._prefetch_queue(todo, configs, workers, simulate)
-            if done is not None:
-                return done
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                store_root = (
-                    str(self.store.root)
-                    if self.store is not None else None
-                )
-                futures = [
-                    pool.submit(
-                        _prefetch_worker, ref.suite, ref.name,
-                        self.scale, self.chunk, list(configs),
-                        simulate, store_root,
-                    )
-                    for ref in todo
-                ]
-                for ref, future in zip(todo, futures):
-                    label, profile, preds, sims = future.result()
-                    self._profiles[label] = profile
-                    for config, pred in zip(configs, preds):
-                        self._predictions[(label, config)] = pred
-                    for config, sim in zip(configs, sims):
-                        self._simulations[(label, config)] = sim
-        except BrokenProcessPool:
-            # A worker died hard (OOM kill, segfault, machine chaos).
-            # The report must not: recompute serially in-process —
-            # every artifact a worker did persist before dying is a
-            # store hit, so only the genuinely missing tail is paid.
-            get_logger("repro.suites").error(
-                "prefetch.pool_broken",
-                todo=len(todo), workers=workers,
-                fallback="serial recompute",
-            )
-            self._prefetch_serial(todo, configs, simulate)
+        if (
+            workers > 1 and len(todo) > 1 and self.store is not None
+            and self._queue_eligible(configs)
+        ):
+            self._prefetch_queue(todo, configs, workers, simulate)
+        # After a queue run these are store hits; anything the queue
+        # did not produce is computed here, in-process.
+        self._prefetch_serial(todo, configs, simulate)
         return [ref.label for ref in todo]
 
     def _prefetch_serial(
@@ -399,7 +313,7 @@ class RunCache:
         Queue jobs carry configurations by Table IV design-point name
         (JSON, host-portable), so only preset-exact configs — same
         name, same derived parameters, uniform core count — can take
-        the queue path; anything bespoke falls back to the pool.
+        the queue path; anything bespoke is computed serially.
         """
         from repro.arch.presets import TABLE_IV, table_iv_config
 
@@ -419,15 +333,15 @@ class RunCache:
         configs: Sequence[MulticoreConfig],
         workers: int,
         simulate: bool,
-    ) -> Optional[List[str]]:
+    ) -> None:
         """Fan ``todo`` out over the crash-safe work queue.
 
         Enqueues the job plan under this store's root and runs a
         supervised worker fleet to drain it — the same path any other
         process (or host sharing the store directory) would join, and
         the one that survives a worker SIGKILL without losing work.
-        Returns ``None`` to fall back to the process pool when the
-        fleet cannot run (e.g. an unpicklable spawn context).
+        A fleet that cannot run is logged; the caller's serial pass
+        then computes whatever is missing.
         """
         from repro.experiments.workqueue import (
             WorkQueue, plan_suite_jobs, run_workers,
@@ -450,17 +364,11 @@ class RunCache:
                 drain=True,
             )
             queue.close()
-        except Exception:
+        except Exception as exc:
             get_logger("repro.suites").error(
                 "prefetch.queue_failed", todo=len(todo),
-                fallback="process pool",
+                error=f"{type(exc).__name__}: {exc}", fallback="serial",
             )
-            return None
-        # The artifacts are durable now; pull them into the memory
-        # cache through the normal getters (store hits, or — if a
-        # worker was lost mid-fleet — an in-process recompute).
-        self._prefetch_serial(todo, configs, simulate)
-        return [ref.label for ref in todo]
 
 
 #: Default shared cache used by the benchmark harness.

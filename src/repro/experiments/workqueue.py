@@ -1,9 +1,8 @@
 """Crash-safe distributed work queue over the content-addressed store.
 
-``report --jobs N`` used to be a single-host ``ProcessPoolExecutor``
-that died with its parent and silently lost work on a worker crash.
-This module replaces that coupling with a filesystem-backed queue
-living under the artifact-store root: any number of worker processes —
+``report --jobs N`` fans its suite out through this module: a
+filesystem-backed queue living under the artifact-store root, so work
+outlives the process that planned it.  Any number of worker processes —
 on one host or on many hosts sharing the store directory — claim jobs
 via atomic lease files and execute them *idempotently*, so at-least-
 once delivery composes with content addressing to give exactly-once
@@ -11,6 +10,10 @@ once delivery composes with content addressing to give exactly-once
 leases expire one lease period after its last heartbeat and survivors
 re-claim the jobs; every result publishes through the store's
 fsync+rename path, so a crash leaves at worst an orphan ``*.tmp``.
+
+This is also the one module that creates processes:
+:class:`Supervisor` spawns, respawns and drains the children of the
+work fleet, the serving fleet and the chaos scenarios alike.
 
 Layout (all under ``<store root>/queue/``)::
 
@@ -58,6 +61,7 @@ heartbeat and completion time.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -67,7 +71,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.store import ProfileStore, fingerprint
 from repro.obs import REGISTRY, get_logger
@@ -861,113 +865,101 @@ def _worker_main(
     Worker(queue, drain=drain, stop_event=stop).run()
 
 
-class WorkerSupervisor:
-    """``repro work run --workers N``: a self-healing worker fleet.
+class Supervisor:
+    """The one process supervisor: N spawned children of one target.
 
-    Spawns N worker processes over one queue, respawns any that die
-    unexpectedly (the queue's lease protocol already guarantees their
-    jobs are re-claimed — respawn just restores capacity), and drains
-    gracefully on SIGINT/SIGTERM, mirroring the serving plane's
-    semantics: children get SIGTERM (finish the current job, exit),
-    then ``drain_timeout`` to comply before SIGKILL escalation.
+    Child ``index`` runs ``target(*args(index))`` in a fresh ``spawn``
+    process (``target`` must be module-level; ``args`` is re-evaluated
+    on every respawn).  ``poll()`` respawns dead children unless
+    ``respawn`` is off or :meth:`stop` has begun; ``stop(timeout)``
+    sends SIGTERM, joins until ``timeout`` and then SIGKILLs.
     """
 
     def __init__(
         self,
-        queue: WorkQueue,
-        workers: int = 2,
-        drain: bool = True,
+        target: Callable[..., Any],
+        count: int,
+        args: Callable[[int], Sequence[Any]] = lambda index: (),
+        name: str = "repro-child",
         respawn: bool = True,
-        drain_timeout: float = 30.0,
-        poll_s: float = 0.1,
     ) -> None:
-        self.queue = queue
-        self.workers = max(1, int(workers))
-        self.drain = drain
+        self.target = target
+        self.count = max(1, int(count))
+        self.args = args
+        self.name = name
         self.respawn = respawn
-        self.drain_timeout = drain_timeout
-        self.poll_s = poll_s
+        #: Children restarted by :meth:`poll` after dying.
         self.respawned = 0
         self._stopping = threading.Event()
-        self._procs: List[Any] = []
+        self._procs: Dict[int, Any] = {}
 
-    def _spawn(self, index: int):
+    def _spawn(self, index: int) -> None:
         import multiprocessing
 
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(
-                str(self.queue.root.parent),
-                f"{_default_owner()}-w{index}",
-                self.queue.lease_s,
-                self.queue.heartbeat_s,
-                self.drain,
-            ),
-            name=f"repro-work-{index}",
+        proc = multiprocessing.get_context("spawn").Process(
+            target=self.target,
+            args=tuple(self.args(index)),
+            name=f"{self.name}-{index}",
         )
         proc.start()
-        return proc
+        self._procs[index] = proc
 
-    def stop(self) -> None:
-        self._stopping.set()
+    def start(self) -> "Supervisor":
+        for index in range(self.count):
+            self._spawn(index)
+        return self
 
-    def run(self, install_signals: bool = False) -> Dict[str, Any]:
-        """Run the fleet; returns a summary once stopped/drained."""
-        if install_signals:
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    signal.signal(
-                        sig, lambda s, f: self.stop()
-                    )
-                except ValueError:  # pragma: no cover - non-main thread
-                    pass
-        self._procs = [self._spawn(i) for i in range(self.workers)]
-        try:
-            while not self._stopping.is_set():
-                alive = 0
-                for i, proc in enumerate(self._procs):
-                    if proc.is_alive():
-                        alive += 1
-                        continue
-                    if (
-                        self.respawn
-                        and not self._stopping.is_set()
-                        and not (self.drain and self.queue.drained())
-                    ):
-                        _log.warning(
-                            "work.worker_respawn",
-                            worker=proc.name,
-                            exitcode=proc.exitcode,
-                        )
-                        self._procs[i] = self._spawn(i)
-                        self.respawned += 1
-                        alive += 1
-                if self.drain and self.queue.drained() and all(
-                    not p.is_alive() for p in self._procs
-                ):
-                    break
-                if not alive and not self.respawn:
-                    break
-                time.sleep(self.poll_s)
-        finally:
-            self._shutdown()
-        return {
-            "workers": self.workers,
-            "respawned": self.respawned,
-            "queue": self.queue.stats(),
-        }
-
-    def _shutdown(self) -> None:
-        deadline = time.monotonic() + self.drain_timeout
-        for proc in self._procs:
+    def poll(self) -> int:
+        """One supervision step: respawn the dead; returns alive."""
+        alive = 0
+        for index, proc in list(self._procs.items()):
             if proc.is_alive():
-                proc.terminate()  # SIGTERM: finish current job, exit
-        for proc in self._procs:
-            remaining = max(0.0, deadline - time.monotonic())
-            proc.join(timeout=remaining)
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - escalation path
+                alive += 1
+                continue
+            if self._stopping.is_set() or not self.respawn:
+                continue
+            _log.warning(
+                "supervisor.respawn", child=proc.name,
+                exitcode=proc.exitcode,
+            )
+            self._spawn(index)
+            self.respawned += 1
+            alive += 1
+        return alive
+
+    def alive(self) -> int:
+        return sum(1 for proc in self._procs.values() if proc.is_alive())
+
+    def pid(self, index: int) -> Optional[int]:
+        """Pid of child ``index`` while it is alive, else ``None``."""
+        proc = self._procs.get(index)
+        return proc.pid if proc is not None and proc.is_alive() else None
+
+    def kill(self, index: int) -> Optional[int]:
+        """SIGKILL child ``index`` (chaos hook); returns its pid."""
+        pid = self.pid(index)
+        if pid is not None:
+            proc = self._procs[index]
+            proc.kill()
+            proc.join(timeout=5.0)
+        return pid
+
+    def stop(self, timeout: float) -> None:
+        """SIGTERM every child, join until ``timeout``, then SIGKILL."""
+        self._stopping.set()
+        procs = list(self._procs.values())
+        for proc in procs:
+            if proc.is_alive():
+                with contextlib.suppress(ProcessLookupError, ValueError):
+                    proc.terminate()  # SIGTERM: drain and exit
+        deadline = time.monotonic() + timeout
+        for proc in procs:
+            proc.join(timeout=max(0.1, deadline - time.monotonic()))
+            if proc.is_alive():
+                _log.warning(
+                    "supervisor.kill_escalation", child=proc.name,
+                    pid=proc.pid,
+                )
                 proc.kill()
                 proc.join(timeout=5.0)
 
@@ -981,14 +973,52 @@ def run_workers(
     respawn: bool = True,
     install_signals: bool = False,
 ) -> Dict[str, Any]:
-    """Spawn and supervise a worker fleet over one shared store root."""
+    """``repro work run --workers N``: a self-healing worker fleet.
+
+    Respawns workers that die while work remains (their leases are
+    re-claimed anyway — respawn restores capacity).  With ``drain``
+    the fleet exits once the queue is drained and the workers have
+    left; SIGINT/SIGTERM (``install_signals``) stop it gracefully, with
+    30 s for children to finish their job before SIGKILL.
+    """
     queue = WorkQueue(
         store_root, lease_s=lease_s, heartbeat_s=heartbeat_s
     )
-    supervisor = WorkerSupervisor(
-        queue, workers=workers, drain=drain, respawn=respawn
+    owner = _default_owner()
+    supervisor = Supervisor(
+        _worker_main,
+        workers,
+        args=lambda index: (
+            str(queue.root.parent), f"{owner}-w{index}",
+            queue.lease_s, queue.heartbeat_s, drain,
+        ),
+        name="repro-work",
+        respawn=respawn,
     )
-    return supervisor.run(install_signals=install_signals)
+    stopping = threading.Event()
+    if install_signals:
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                signal.signal(sig, lambda s, f: stopping.set())
+            except ValueError:  # pragma: no cover - non-main thread
+                pass
+    supervisor.start()
+    try:
+        while not stopping.is_set():
+            # A drained queue needs no fresh capacity: let the
+            # workers drain-exit instead of respawning them.
+            drained = drain and queue.drained()
+            alive = supervisor.alive() if drained else supervisor.poll()
+            if not alive and (drained or not respawn):
+                break
+            stopping.wait(0.1)
+    finally:
+        supervisor.stop(timeout=30.0)
+    return {
+        "workers": supervisor.count,
+        "respawned": supervisor.respawned,
+        "queue": queue.stats(),
+    }
 
 
 # -- queue-level accounting (cross-process, from the event logs) -------------
@@ -1042,8 +1072,6 @@ def _scenario_kill_mid_lease(
     computed twice, and the finished report renders bit-identical to a
     single-process run against a fresh store.
     """
-    import multiprocessing
-
     from repro.arch.presets import table_iv_config
     from repro.experiments.accuracy import render_figure4, run_figure4
     from repro.experiments.suites import BenchmarkRef, RunCache
@@ -1064,57 +1092,48 @@ def _scenario_kill_mid_lease(
     )
     queue.enqueue_many(jobs)
 
-    ctx = multiprocessing.get_context("spawn")
+    workers = Supervisor(
+        _worker_main,
+        3,
+        args=lambda index: (
+            str(store_root), f"chaos-w{index}", lease_s, heartbeat_s,
+            True,
+        ),
+        name="chaos-w",
+        respawn=False,
+    )
     old_settle = os.environ.get("REPRO_WORK_SETTLE_S")
     os.environ["REPRO_WORK_SETTLE_S"] = "0.25"
     try:
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    str(store_root), f"chaos-w{i}", lease_s,
-                    heartbeat_s, True,
-                ),
-                name=f"chaos-w{i}",
-            )
-            for i in range(3)
-        ]
-        for proc in procs:
-            proc.start()
+        workers.start()
     finally:
         if old_settle is None:
             os.environ.pop("REPRO_WORK_SETTLE_S", None)
         else:
             os.environ["REPRO_WORK_SETTLE_S"] = old_settle
 
-    # Wait for the victim to own a live lease, then kill it there.
-    victim = procs[0]
+    # Wait for the victim (child 0) to own a live lease, then kill it
+    # there.
+    victim_pid = workers.pid(0)
     victim_keys: List[str] = []
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
         victim_keys = [
             key for key, meta in queue.live_leases().items()
-            if meta.get("pid") == victim.pid
+            if meta.get("pid") == victim_pid
         ]
-        if victim_keys or not victim.is_alive():
+        if victim_keys or workers.pid(0) is None:
             break
         time.sleep(0.02)
     kill_wall = time.time()
-    killed = victim.is_alive()
-    if killed:
-        try:
-            os.kill(victim.pid, signal.SIGKILL)
-        except OSError:  # pragma: no cover - victim won the race
-            killed = False
-    victim.join(timeout=30.0)
+    killed = workers.kill(0) is not None
 
-    for proc in procs[1:]:
-        proc.join(timeout=240.0)
-    survivors_alive = sum(1 for p in procs[1:] if p.is_alive())
-    for proc in procs[1:]:  # pragma: no cover - hang backstop
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
+    # The survivors drain the queue and exit on their own.
+    deadline = time.monotonic() + 240.0
+    while workers.alive() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors_alive = workers.alive()
+    workers.stop(timeout=5.0)  # hang backstop
 
     # Reclaim latency: steals of the victim's keys, after the kill.
     steal_ts = [
@@ -1277,8 +1296,8 @@ __all__ = [
     "QueueCounters",
     "WORK_COUNTERS",
     "WorkQueue",
+    "Supervisor",
     "Worker",
-    "WorkerSupervisor",
     "effect_audit",
     "plan_suite_jobs",
     "run_work_scenarios",

@@ -73,10 +73,6 @@ class ILPTable:
         if (self.load_par < 1.0 - 1e-9).any():
             raise ValueError("load parallelism must be >= 1")
 
-    def lookup_load_par(self, window: int) -> float:
-        """Interpolated load parallelism at a window size (log2-linear)."""
-        return self._window_interp(self.load_par, window)
-
     def _bilinear(
         self, grid: np.ndarray, window: int, load_lat: float
     ) -> float:
@@ -307,11 +303,6 @@ class EpochProfile:
     @property
     def loads_per_instruction(self) -> float:
         return self.mix.get("load", 0.0)
-
-    @property
-    def mem_per_instruction(self) -> float:
-        m = self.mix
-        return m.get("load", 0.0) + m.get("store", 0.0)
 
     @property
     def branches_per_instruction(self) -> float:

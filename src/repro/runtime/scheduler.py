@@ -43,10 +43,6 @@ class ScheduleResult:
     active: List[float]
     idle: List[float]
 
-    def total_time(self) -> float:
-        """Overall execution time (the paper's predicted/simulated time)."""
-        return self.end_time
-
 
 @dataclass
 class _ThreadState:

@@ -8,8 +8,6 @@ at a synchronization event (and why).
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -74,33 +72,6 @@ class Timeline:
         for iv, cause in self.idle[tid]:
             out[cause] = out.get(cause, 0.0) + iv.duration
         return out
-
-    def digest(self) -> str:
-        """Stable SHA-256 digest of the full timeline content.
-
-        Covers every active interval, every idle interval with its
-        blocking cause, and the per-thread creation/end times — two
-        timelines digest equal iff they are bit-identical (float bit
-        patterns included).  This is the identity the batched-replay
-        equivalence suite pins against the event-at-a-time DES spec.
-        """
-        h = hashlib.sha256()
-        h.update(f"timeline|{self.n_threads}".encode())
-        for tid in range(self.n_threads):
-            created = self.created_at[tid]
-            ended = self.ended_at[tid]
-            h.update(
-                f"|t{tid}"
-                f"|{'-' if created is None else float(created).hex()}"
-                f"|{'-' if ended is None else float(ended).hex()}".encode()
-            )
-            for iv in self.active[tid]:
-                h.update(struct.pack("<dd", iv.start, iv.end))
-            h.update(b"|idle")
-            for iv, cause in self.idle[tid]:
-                h.update(struct.pack("<dd", iv.start, iv.end))
-                h.update(cause.encode())
-        return h.hexdigest()
 
     @property
     def end_time(self) -> float:

@@ -6,22 +6,23 @@ Two transport-agnostic pieces:
   miss counters, shared by the engine for profiles, epoch-cost caches
   and finished payloads.
 * :class:`Coalescer` — the asyncio front half of the serving data
-  path.  Concurrent requests are (a) *deduplicated*: identical keys
-  in flight collapse onto one future (single-flight), so a stampede of
-  equal requests costs exactly one engine computation; and (b)
-  *batched*: distinct pending requests are drained together into one
-  executor hop, so the engine amortizes its dispatch overhead and
-  serves the whole group from warm caches.
+  path.  Concurrent requests are *deduplicated*: identical keys in
+  flight collapse onto one future (single-flight), so a stampede of
+  equal requests costs exactly one engine computation.  Each distinct
+  request goes straight to the engine's thread pool and waits in the
+  pool's own queue.
 
 Neither piece knows about HTTP or about the engine's semantics — the
-coalescer takes an opaque ``compute_batch`` callable and opaque request
+coalescer takes an opaque ``compute`` callable and opaque request
 objects keyed by the caller.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
+import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Tuple
 
@@ -91,13 +92,12 @@ class LRUCache:
 
 
 class Coalescer:
-    """Single-flight dedup + micro-batching over an executor.
+    """Single-flight dedup in front of an executor.
 
-    ``compute_batch`` receives a list of request objects and returns a
-    result per request, in order; it runs on ``executor`` (a thread
-    pool), never on the event loop.  Up to ``max_workers`` batches run
-    concurrently; requests arriving while every worker is busy queue up
-    and ship in the next drain, so batch size adapts to load.
+    ``compute`` maps one request object to its result on ``executor``
+    (a thread pool of ``max_workers``), never on the event loop; each
+    distinct request is submitted at once and waits in the pool's
+    queue.
 
     A request whose key equals one already in flight never reaches the
     engine: it awaits the in-flight future (``collapsed`` counts these
@@ -106,28 +106,26 @@ class Coalescer:
 
     def __init__(
         self,
-        compute_batch: Callable[[List[Any]], List[Any]],
+        compute: Callable[[Any], Any],
         executor,
         max_workers: int = 1,
-        max_batch: int = 64,
     ) -> None:
-        self._compute = compute_batch
+        self._compute = compute
         self._executor = executor
         self._max_workers = max(1, max_workers)
-        self.max_batch = max(1, max_batch)
-        self._pending: List[Tuple[Hashable, Any]] = []
-        self._inflight: Dict[Hashable, asyncio.Future] = {}
+        #: key -> (executor future, its asyncio wrapper).
+        self._inflight: Dict[
+            Hashable, Tuple[concurrent.futures.Future, asyncio.Future]
+        ] = {}
         #: key -> number of awaiting submitters (single-flight sharers).
         self._waiters: Dict[Hashable, int] = {}
-        self._drainers = 0
+        self._ewma_lock = threading.Lock()
         #: Requests that collapsed onto an identical in-flight one.
         self.collapsed = 0
-        #: Executor round-trips (each serving >= 1 request).
-        self.batches = 0
         #: Total requests submitted.
         self.submitted = 0
         #: Queued requests dropped because every waiter went away
-        #: (client disconnect / deadline) before the work shipped.
+        #: (client disconnect / deadline) before the work started.
         self.abandoned = 0
         #: EWMA of per-request engine service time — the basis of the
         #: server's ``Retry-After`` estimate under overload.
@@ -137,121 +135,87 @@ class Coalescer:
         """Distinct requests admitted and not yet resolved."""
         return len(self._inflight)
 
+    def inflight(self, key: Hashable) -> bool:
+        """Whether a request with ``key`` is admitted and unresolved."""
+        return key in self._inflight
+
     def estimate_wait_s(self, extra: int = 0) -> float:
         """Rough time until a request submitted now would finish."""
         per_request = self.ewma_service_s or 0.05
         workers = self._max_workers
         return (self.depth() + extra) * per_request / workers
 
+    def _run(self, request: Any) -> Any:
+        """Executor-side: compute one request, timing the service."""
+        t0 = time.perf_counter()
+        result = self._compute(request)
+        elapsed = time.perf_counter() - t0
+        with self._ewma_lock:
+            self.ewma_service_s = (
+                elapsed if self.ewma_service_s == 0.0
+                else 0.8 * self.ewma_service_s + 0.2 * elapsed
+            )
+        return result
+
     async def submit(self, key: Hashable, request: Any) -> Any:
         """Resolve ``request``, sharing work with identical requests.
 
         Cancellation-aware: if every waiter on a key is cancelled (a
         client disconnected, a deadline fired) while the work is still
-        queued, the entry is dropped before it ever reaches the
-        engine.  Work already executing cannot be recalled — its
-        result simply resolves a future nobody awaits.
+        queued, the executor future is cancelled before it ever
+        reaches the engine.  Work already executing cannot be
+        recalled — its result simply resolves a future nobody awaits.
         """
-        loop = asyncio.get_running_loop()
         self.submitted += 1
-        fut = self._inflight.get(key)
-        if fut is not None:
+        entry = self._inflight.get(key)
+        if entry is not None:
             self.collapsed += 1
         else:
-            fut = loop.create_future()
-            self._inflight[key] = fut
-            self._pending.append((key, request))
-            if self._drainers < self._max_workers:
-                self._drainers += 1
-                loop.create_task(self._drain(loop))
+            work = self._executor.submit(self._run, request)
+            entry = (work, asyncio.wrap_future(work))
+            self._inflight[key] = entry
+            entry[1].add_done_callback(
+                lambda fut: self._settle(key, entry)
+            )
         self._waiters[key] = self._waiters.get(key, 0) + 1
         try:
-            return await asyncio.shield(fut)
+            return await asyncio.shield(entry[1])
         except asyncio.CancelledError:
-            self._abandon(key, fut)
+            self._abandon(key, entry)
             raise
         finally:
-            remaining = self._waiters.get(key, 1) - 1
-            if remaining <= 0:
-                self._waiters.pop(key, None)
-            else:
-                self._waiters[key] = remaining
+            self._waiters[key] -= 1
+            if not self._waiters[key]:
+                del self._waiters[key]
 
-    def _abandon(self, key: Hashable, fut: asyncio.Future) -> None:
+    def _settle(self, key: Hashable, entry: Tuple) -> None:
+        """The work resolved: release the key for new computations."""
+        if self._inflight.get(key) is entry:
+            del self._inflight[key]
+        fut = entry[1]
+        if not fut.cancelled():
+            fut.exception()  # retrieved: abandoned work may have failed
+
+    def _abandon(self, key: Hashable, entry: Tuple) -> None:
         """A waiter was cancelled; reap the work if it was the last."""
         if self._waiters.get(key, 0) > 1:
             return  # other waiters still want the result
-        if self._inflight.get(key) is not fut:
+        if self._inflight.get(key) is not entry:
             return  # already resolved or superseded
-        for i, (pending_key, _) in enumerate(self._pending):
-            if pending_key == key:
-                del self._pending[i]
-                self._inflight.pop(key, None)
-                if not fut.done():
-                    fut.cancel()
-                self.abandoned += 1
-                return
-        # Not pending: the batch is already on an executor thread.
-        # Let it finish; its result resolves an unawaited future.
-
-    async def _drain(self, loop) -> None:
-        try:
-            while self._pending:
-                batch = self._pending[: self.max_batch]
-                del self._pending[: len(batch)]
-                self.batches += 1
-                requests = [request for _, request in batch]
-                t0 = loop.time()
-                try:
-                    results = await loop.run_in_executor(
-                        self._executor, self._compute, requests
-                    )
-                except BaseException as exc:
-                    for key, _ in batch:
-                        fut = self._inflight.pop(key, None)
-                        if fut is not None and not fut.done():
-                            fut.set_exception(exc)
-                    continue
-                per_request = (loop.time() - t0) / len(batch)
-                self.ewma_service_s = (
-                    per_request if self.ewma_service_s == 0.0
-                    else 0.8 * self.ewma_service_s + 0.2 * per_request
-                )
-                for (key, _), result in zip(batch, results):
-                    fut = self._inflight.pop(key, None)
-                    if fut is not None and not fut.done():
-                        fut.set_result(result)
-        finally:
-            self._drainers -= 1
+        # Succeeds only while the work is still queued; once it runs,
+        # its result resolves an unawaited future.
+        if entry[0].cancel():
+            del self._inflight[key]
+            self.abandoned += 1
 
     def stats(self) -> Dict[str, int]:
         return {
             "submitted": self.submitted,
             "collapsed": self.collapsed,
-            "batches": self.batches,
             "abandoned": self.abandoned,
             "inflight": len(self._inflight),
-            "pending": len(self._pending),
             "ewma_service_ms": round(self.ewma_service_s * 1e3, 3),
         }
 
 
-def run_coalesced(
-    coalescer: Coalescer,
-    items: List[Tuple[Hashable, Any]],
-) -> List[Any]:
-    """Synchronous helper: resolve many keyed requests on a fresh loop.
-
-    Test/tooling convenience for exercising a :class:`Coalescer`
-    outside a running server.
-    """
-
-    async def _gather():
-        return await asyncio.gather(*[
-            coalescer.submit(key, request) for key, request in items
-        ])
-
-    return asyncio.run(_gather())
-
-
-__all__ = ["Coalescer", "LRUCache", "run_coalesced"]
+__all__ = ["Coalescer", "LRUCache"]

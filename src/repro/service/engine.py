@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch.config import MulticoreConfig
 from repro.arch.presets import TABLE_IV, table_iv_config
@@ -429,7 +429,7 @@ class PredictionEngine:
             stats["store"] = self.store.health()
         return stats
 
-    # -- batch face (used by the coalescer) ---------------------------------
+    # -- request face (used by the coalescer) -------------------------------
 
     def handle(self, request: ServiceRequest) -> Tuple[int, dict]:
         """Serve one request; never raises — errors become payloads."""
@@ -467,17 +467,11 @@ class PredictionEngine:
         except ServiceError as exc:
             self._bump("errors")
             return exc.status, {"error": str(exc)}
-        except Exception as exc:  # engine bug: report, don't kill the batch
+        except Exception as exc:  # engine bug: report, don't kill the worker
             self._bump("errors")
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             deactivate(token)
-
-    def handle_batch(
-        self, requests: List[ServiceRequest]
-    ) -> List[Tuple[int, dict]]:
-        """One executor hop serving a coalesced group of requests."""
-        return [self.handle(request) for request in requests]
 
 
 # -- error budget ------------------------------------------------------------

@@ -24,16 +24,15 @@ services:
   the store once, not N times, and the store's generation stamp lets
   resident engine LRUs notice a prune made by any sibling.
 
-The supervisor mirrors ``experiments.workqueue.WorkerSupervisor``:
-poll-and-respawn of dead workers (the SIGKILL chaos scenario), a
-SIGTERM fan-out for graceful drain, and a kill escalation when a
-child outstays ``drain_timeout``.
+Process handling is :class:`~repro.experiments.workqueue.Supervisor`'s,
+the same supervisor that runs the work fleet: poll-and-respawn of dead
+workers (the SIGKILL chaos scenario), a SIGTERM fan-out for graceful
+drain, and a kill escalation when a child outstays ``drain_timeout``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import signal
 import socket
 import threading
@@ -41,6 +40,10 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.experiments.store import ProfileStore
+from repro.experiments.workqueue import (
+    Job, JobExecutor, Supervisor, WorkQueue, Worker,
+)
 from repro.obs import get_logger
 from repro.obs.logging import ensure_configured
 
@@ -84,9 +87,7 @@ def _warm_fill(store, presets: Sequence[Tuple[str, float]]) -> int:
     missing profile is computed exactly once fleet-wide, and every
     worker's engine then finds it in the store.
     """
-    from repro.experiments.workqueue import Job, WorkQueue
     from repro.experiments.suites import build_workload
-    from repro.experiments.store import ProfileStore
     from repro.service.engine import resolve_benchmark
 
     present = set(store.list_keys("profiles"))
@@ -111,8 +112,6 @@ def _warm_fill(store, presets: Sequence[Tuple[str, float]]) -> int:
 
 def _drain_warm_fill(store, stop: threading.Event) -> None:
     """Background queue drain: compute whatever warm-fill enqueued."""
-    from repro.experiments.workqueue import JobExecutor, WorkQueue, Worker
-
     queue = WorkQueue(store.root)
     worker = Worker(
         queue, JobExecutor(store), drain=True, stop_event=stop
@@ -123,7 +122,6 @@ def _drain_warm_fill(store, stop: threading.Event) -> None:
 def _fleet_worker_main(config: Dict[str, object]) -> None:
     """Entry point of one fleet worker process (spawn-safe)."""
     ensure_configured()
-    from repro.experiments.store import ProfileStore
     from repro.service.engine import PredictionEngine
     from repro.service.server import PredictionService
 
@@ -194,7 +192,6 @@ class ServingFleet:
         self.max_queue = max_queue
         self.deadline_ms = deadline_ms
         self.drain_timeout = float(drain_timeout)
-        self.respawn = respawn
         self.warm_profiles = tuple(warm_profiles)
         self.poll_s = float(poll_s)
         if self.store_root is not None:
@@ -206,11 +203,15 @@ class ServingFleet:
                 tempfile.mkdtemp(prefix="repro-fleet-")
             )
         self.reuse_port = reuse_port_supported()
-        self.respawns = 0
         self._probe: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None
-        self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
-        self._ctx = multiprocessing.get_context("spawn")
+        self._supervisor = Supervisor(
+            _fleet_worker_main,
+            self.workers,
+            args=lambda worker_id: (self._worker_config(worker_id),),
+            name="repro-fleet",
+            respawn=respawn,
+        )
         self._stopping = threading.Event()
         self._watch_thread: Optional[threading.Thread] = None
 
@@ -236,8 +237,7 @@ class ServingFleet:
                 self.host, self.port, reuse_port=False, listen=True
             )
             self.port = self._listen_sock.getsockname()[1]
-        for worker_id in range(self.workers):
-            self._spawn(worker_id)
+        self._supervisor.start()
         _log.info(
             "fleet.started",
             url=f"http://{self.host}:{self.port}",
@@ -267,33 +267,14 @@ class ServingFleet:
             "warm_profiles": self.warm_profiles,
         }
 
-    def _spawn(self, worker_id: int) -> None:
-        proc = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(self._worker_config(worker_id),),
-            name=f"repro-fleet-{worker_id}",
-        )
-        proc.start()
-        self._procs[worker_id] = proc
+    @property
+    def respawns(self) -> int:
+        """Workers the supervisor restarted after they died."""
+        return self._supervisor.respawned
 
     def poll(self) -> int:
         """One supervision step: respawn dead workers; returns alive."""
-        alive = 0
-        for worker_id, proc in list(self._procs.items()):
-            if proc.is_alive():
-                alive += 1
-                continue
-            proc.join(timeout=0)
-            if self._stopping.is_set() or not self.respawn:
-                continue
-            _log.warning(
-                "fleet.worker_died",
-                worker_id=worker_id, exitcode=proc.exitcode,
-            )
-            self.respawns += 1
-            self._spawn(worker_id)
-            alive += 1
-        return alive
+        return self._supervisor.poll()
 
     def watch(self) -> None:
         """Run the respawn loop on a daemon thread (harness mode)."""
@@ -310,16 +291,11 @@ class ServingFleet:
         self._watch_thread.start()
 
     def alive(self) -> int:
-        return sum(1 for p in self._procs.values() if p.is_alive())
+        return self._supervisor.alive()
 
     def kill_worker(self, worker_id: int) -> Optional[int]:
         """SIGKILL one worker (chaos hook); returns its pid."""
-        proc = self._procs.get(worker_id)
-        if proc is None or not proc.is_alive():
-            return None
-        pid = proc.pid
-        proc.kill()
-        return pid
+        return self._supervisor.kill(worker_id)
 
     def stop(self, drain: bool = True) -> None:
         """Fan out graceful drain, then escalate to SIGKILL."""
@@ -327,25 +303,9 @@ class ServingFleet:
         if self._watch_thread is not None:
             self._watch_thread.join(timeout=2.0)
             self._watch_thread = None
-        for proc in self._procs.values():
-            if proc.is_alive():
-                with contextlib.suppress(
-                    ProcessLookupError, ValueError, AttributeError
-                ):
-                    proc.terminate()  # SIGTERM -> worker drains
-        deadline = time.monotonic() + (
-            self.drain_timeout + 5.0 if drain else 1.0
+        self._supervisor.stop(
+            timeout=self.drain_timeout + 5.0 if drain else 1.0
         )
-        for proc in self._procs.values():
-            remaining = deadline - time.monotonic()
-            proc.join(timeout=max(0.1, remaining))
-            if proc.is_alive():
-                _log.warning(
-                    "fleet.kill_escalation", pid=proc.pid
-                )
-                proc.kill()
-                proc.join(timeout=5.0)
-        self._procs.clear()
         for sock in (self._probe, self._listen_sock):
             if sock is not None:
                 with contextlib.suppress(OSError):
@@ -375,12 +335,6 @@ class ServingFleet:
                 with contextlib.suppress(ValueError, OSError):
                     signal.signal(sig, handler)
             self.stop(drain=True)
-
-    def __enter__(self) -> "ServingFleet":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def wait_fleet_ready(

@@ -5,8 +5,8 @@ keep-alive parser — no web framework, so the service runs anywhere the
 reproduction runs.  The event loop owns parsing and routing; engine
 work happens on a thread pool behind the
 :class:`~repro.service.batching.Coalescer`, which deduplicates
-identical in-flight requests (single-flight) and ships distinct ones
-to the engine in micro-batches.
+identical in-flight requests (single-flight) and submits each
+distinct one straight to the pool.
 
 Overload safety (the serving plane degrades, it does not collapse):
 
@@ -258,10 +258,7 @@ class PredictionService:
         ).set(self.workers)
         if self._coalescer is not None:
             stats = self._coalescer.stats()
-            for name in (
-                "submitted", "collapsed", "batches", "abandoned",
-                "inflight", "pending",
-            ):
+            for name in ("submitted", "collapsed", "abandoned", "inflight"):
                 m.gauge(
                     f"repro_coalescer_{name}",
                     f"Coalescer {name.replace('_', ' ')}",
@@ -385,7 +382,7 @@ class PredictionService:
             thread_name_prefix="repro-engine",
         )
         self._coalescer = Coalescer(
-            self.engine.handle_batch,
+            self.engine.handle,
             self._executor,
             max_workers=self.workers,
         )
@@ -802,7 +799,7 @@ class PredictionService:
         # single-flight for free — only *distinct* work is bounded.
         if (
             self._coalescer.depth() >= self.max_queue
-            and key not in self._coalescer._inflight
+            and not self._coalescer.inflight(key)
         ):
             self._m_shed.inc()
             retry_after = self._retry_after()
@@ -838,7 +835,7 @@ class PredictionService:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            # An engine batch failing wholesale (injected chaos, engine
+            # An engine call failing outright (injected chaos, engine
             # bug) must degrade to a typed 500, never a hung socket.
             return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
         return status, payload, {}

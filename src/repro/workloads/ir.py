@@ -242,10 +242,6 @@ class ThreadTrace:
         """Total micro-ops across all segments."""
         return sum(seg.block.n_instructions for seg in self.segments)
 
-    def sync_events(self) -> List[SyncOp]:
-        """All terminating events in order."""
-        return [seg.event for seg in self.segments]
-
 
 @dataclass
 class WorkloadTrace:
@@ -283,9 +279,6 @@ class WorkloadTrace:
             for t in self.threads
             for seg in t.segments
         )
-
-    def thread(self, tid: int) -> ThreadTrace:
-        return self.threads[tid]
 
     def content_digest(self) -> str:
         """Stable SHA-256 digest of the trace's full dynamic content.

@@ -1,10 +1,14 @@
-"""Executable specs stay outside the production import graph.
+"""Production keeps one implementation per concern.
 
 The scalar locality collectors, the scalar ILP table builder, the
 per-segment trace generator and the per-chunk profiler are preserved
 as test oracles.  Only the bench harness (``experiments/bench.py``)
 times production against them; no other module under ``src/repro``
-may import them, so production keeps one implementation per concern.
+may import them.
+
+Processes are created in one place, the ``Supervisor`` in
+``experiments/workqueue.py``: no other module may import
+``multiprocessing`` or a process pool.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ALLOWED = {SRC / "repro" / "experiments" / "bench.py"}
+#: The one module allowed to create processes.
+PROCESS_OWNER = SRC / "repro" / "experiments" / "workqueue.py"
 
 #: Whole modules no production module may import.
 SPEC_MODULES = {"repro.profiler.reference"}
@@ -65,6 +71,42 @@ def spec_imports(path: Path) -> list:
     return found
 
 
+def process_imports(path: Path) -> list:
+    """Every ``multiprocessing`` / process-pool import in one file.
+
+    Also catches ``concurrent.futures.ProcessPoolExecutor`` reached
+    as an attribute of an imported ``concurrent.futures``.
+    """
+    def is_process_module(module: str) -> bool:
+        return (
+            module.split(".")[0] == "multiprocessing"
+            or module == "concurrent.futures.process"
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.extend(
+                alias.name for alias in node.names
+                if is_process_module(alias.name)
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = _absolute(node, path)
+            for alias in node.names:
+                if (
+                    is_process_module(module)
+                    or is_process_module(f"{module}.{alias.name}")
+                    or alias.name == "ProcessPoolExecutor"
+                ):
+                    found.append(f"{module}.{alias.name}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "ProcessPoolExecutor"
+        ):
+            found.append("ProcessPoolExecutor")
+    return found
+
+
 class TestImportGraph:
     def test_specs_only_imported_by_bench(self):
         offenders = {
@@ -82,3 +124,14 @@ class TestImportGraph:
         assert "repro.profiler.ilp.build_ilp_table" in found
         assert "repro.profiler.profiler.profile_workload_reference" in found
         assert any(f.startswith("repro.profiler.reference") for f in found)
+
+    def test_only_the_supervisor_module_creates_processes(self):
+        offenders = {
+            str(path.relative_to(SRC)): process_imports(path)
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if path != PROCESS_OWNER and process_imports(path)
+        }
+        assert offenders == {}
+
+    def test_process_guard_sees_the_supervisor_import(self):
+        assert "multiprocessing" in process_imports(PROCESS_OWNER)

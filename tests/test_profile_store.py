@@ -130,11 +130,16 @@ class TestPrefetch:
         # Everything is now memoised; a second prefetch is a no-op.
         assert cache.prefetch(refs, configs=[base_cfg], workers=1) == []
 
-    def test_parallel_matches_serial(self, base_cfg):
+    def test_parallel_matches_serial(self, store, base_cfg):
+        from repro.experiments.workqueue import WorkQueue
+
         refs = [BenchmarkRef("rodinia", n) for n in ("nw", "myocyte")]
-        par = RunCache(scale=self.SCALE)
+        par = RunCache(scale=self.SCALE, store=store)
         done = par.prefetch(refs, configs=[base_cfg], workers=2)
         assert sorted(done) == sorted(r.label for r in refs)
+        # The work queue computed them: a profile and a prediction job
+        # per benchmark, all completed.
+        assert WorkQueue(store.root).done_count() == 2 * len(refs)
         ser = RunCache(scale=self.SCALE)
         for r in refs:
             assert par.profile(r).to_dict() == ser.profile(r).to_dict()

@@ -1,8 +1,8 @@
 """Tests for the serving subsystem (:mod:`repro.service`).
 
-Covers the batching primitives (LRU semantics, single-flight
-collapse, micro-batching), the engine's caching behaviour, and the
-real HTTP stack end to end — including the acceptance properties: a
+Covers the coalescing primitives (LRU semantics, single-flight
+collapse, reaping of abandoned queued work), the engine's caching
+behaviour, and the real HTTP stack end to end — including the acceptance properties: a
 stampede of identical requests costs exactly one engine computation,
 and ``/v1/predict`` responses re-rendered through the shared formatter
 are byte-identical to ``python -m repro predict`` output.
@@ -79,12 +79,12 @@ class TestCoalescer:
     def test_single_flight_collapses_identical_requests(self):
         """32 identical concurrent requests -> exactly one compute."""
         release = threading.Event()
-        batches = []
+        computed = []
 
-        def compute(batch):
-            batches.append(list(batch))
+        def compute(request):
+            computed.append(request)
             release.wait(10)
-            return [("ok", request) for request in batch]
+            return ("ok", request)
 
         with ThreadPoolExecutor(2) as executor:
             coalescer = Coalescer(compute, executor, max_workers=2)
@@ -99,46 +99,12 @@ class TestCoalescer:
                 return await asyncio.gather(*tasks)
 
             results = self._run(scenario())
-        assert len(batches) == 1 and len(batches[0]) == 1
+        assert computed == [0]
         assert coalescer.collapsed == 31
         assert all(r == ("ok", 0) for r in results)
 
-    def test_distinct_requests_batch_together(self):
-        """Requests queued behind a busy worker drain as one batch."""
-        first_started = threading.Event()
-        release = threading.Event()
-        batches = []
-
-        def compute(batch):
-            batches.append(list(batch))
-            if len(batches) == 1:
-                first_started.set()
-                release.wait(10)
-            return [request * 10 for request in batch]
-
-        with ThreadPoolExecutor(1) as executor:
-            coalescer = Coalescer(compute, executor, max_workers=1)
-
-            async def scenario():
-                first = asyncio.create_task(coalescer.submit("a", 1))
-                await asyncio.get_running_loop().run_in_executor(
-                    None, first_started.wait, 10
-                )
-                rest = [
-                    asyncio.create_task(coalescer.submit(k, v))
-                    for k, v in (("b", 2), ("c", 3))
-                ]
-                await asyncio.sleep(0.05)
-                release.set()
-                return await asyncio.gather(first, *rest)
-
-            results = self._run(scenario())
-        assert results == [10, 20, 30]
-        assert batches == [[1], [2, 3]]
-        assert coalescer.batches == 2
-
     def test_compute_exception_propagates(self):
-        def compute(batch):
+        def compute(request):
             raise RuntimeError("engine down")
 
         with ThreadPoolExecutor(1) as executor:
@@ -147,6 +113,67 @@ class TestCoalescer:
                 self._run(coalescer.submit("k", 1))
         # The key is released: a retry is not poisoned.
         assert coalescer.stats()["inflight"] == 0
+
+    @staticmethod
+    def _busy_worker_scenario(submit_queued, cancel_count):
+        """Occupy the only worker, queue waiters on key ``q``, cancel
+        the first ``cancel_count`` of them, then release the worker.
+
+        Returns (computed requests, coalescer, surviving results).
+        """
+        computed = []
+        started, release = threading.Event(), threading.Event()
+
+        def compute(request):
+            computed.append(request)
+            if request == "busy":
+                started.set()
+                release.wait(10)
+            return f"done-{request}"
+
+        with ThreadPoolExecutor(1) as executor:
+            coalescer = Coalescer(compute, executor, max_workers=1)
+
+            async def scenario():
+                loop = asyncio.get_running_loop()
+                busy = asyncio.create_task(
+                    coalescer.submit("busy", "busy")
+                )
+                await loop.run_in_executor(None, started.wait, 10)
+                waiters = [
+                    asyncio.create_task(coalescer.submit("q", "q"))
+                    for _ in range(submit_queued)
+                ]
+                await asyncio.sleep(0.02)
+                for waiter in waiters[:cancel_count]:
+                    waiter.cancel()
+                await asyncio.sleep(0.02)
+                release.set()
+                return await asyncio.gather(
+                    busy, *waiters[cancel_count:]
+                )
+
+            results = asyncio.run(scenario())
+        return computed, coalescer, results
+
+    def test_cancelled_queued_request_is_never_computed(self):
+        """The last waiter going away reaps work still queued."""
+        computed, coalescer, results = self._busy_worker_scenario(
+            submit_queued=1, cancel_count=1
+        )
+        assert results == ["done-busy"]
+        assert computed == ["busy"]
+        assert coalescer.abandoned == 1
+        assert coalescer.depth() == 0
+
+    def test_shared_key_survives_one_cancelled_waiter(self):
+        """Another waiter still wants the result: computed once."""
+        computed, coalescer, results = self._busy_worker_scenario(
+            submit_queued=2, cancel_count=1
+        )
+        assert results == ["done-busy", "done-q"]
+        assert computed.count("q") == 1
+        assert coalescer.abandoned == 0
 
 
 class TestEngine:

@@ -6,10 +6,12 @@ re-claimable, a heartbeating owner can never be stolen from, and a
 zombie owner (one whose lease was taken over) can never publish a
 completion over its successor.  Alongside the lifecycle: idempotent
 execution through the Worker loop, the effect audit over the event
-logs, the prefetch fallbacks, and the store durability counters.
+logs, the process supervisor, the prefetch fallbacks, and the store
+durability counters.
 """
 
 import os
+import signal
 import threading
 import time
 
@@ -19,6 +21,7 @@ from repro.experiments.store import ProfileStore
 from repro.experiments.workqueue import (
     Job,
     JobExecutor,
+    Supervisor,
     WorkQueue,
     Worker,
     effect_audit,
@@ -347,35 +350,17 @@ class TestObservability:
 
 
 class TestPrefetchFallbacks:
-    def test_broken_pool_degrades_to_serial(self, tmp_path, monkeypatch):
-        """A dead worker pool must not kill the report."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.experiments.suites as suites
+    def test_failed_queue_degrades_to_serial(self, tmp_path, monkeypatch):
+        """A work-queue fleet that cannot run must not kill the report."""
+        import repro.experiments.workqueue as workqueue
         from repro.experiments.suites import BenchmarkRef, RunCache
 
-        class ExplodingPool:
-            def __init__(self, max_workers=None):
-                pass
+        def broken_fleet(*args, **kwargs):
+            raise RuntimeError("fleet cannot start")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(
-            suites, "ProcessPoolExecutor", ExplodingPool
-        )
+        monkeypatch.setattr(workqueue, "run_workers", broken_fleet)
         cache = RunCache(
             scale=0.05, store=ProfileStore(tmp_path, strict=False)
-        )
-        # Defeat the queue path so the pool path is exercised.
-        monkeypatch.setattr(
-            cache, "_queue_eligible", lambda configs: False
         )
         refs = [BenchmarkRef("rodinia", "nn"),
                 BenchmarkRef("rodinia", "bfs")]
@@ -402,6 +387,62 @@ class TestPrefetchFallbacks:
         assert RunCache._queue_eligible(
             [base, table_iv_config("big", cores=8)]
         ) is False  # mixed core counts cannot share one job plan
+
+
+def _idle(seconds):
+    """Supervisor test child: sleep, exit cleanly on SIGTERM."""
+    time.sleep(seconds)
+
+
+def _ignore_sigterm(ready_path, seconds):
+    """Supervisor test child that only a SIGKILL can stop."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    open(ready_path, "w").close()
+    time.sleep(seconds)
+
+
+class TestSupervisor:
+    def test_killed_child_is_respawned_by_poll(self):
+        supervisor = Supervisor(
+            _idle, 2, args=lambda index: (60,), name="test-idle"
+        ).start()
+        try:
+            assert supervisor.alive() == 2
+            victim = supervisor.kill(0)
+            assert victim is not None
+            assert supervisor.alive() == 1
+            assert supervisor.poll() == 2
+            assert supervisor.respawned == 1
+            assert supervisor.pid(0) not in (None, victim)
+        finally:
+            supervisor.stop(timeout=5.0)
+        assert supervisor.alive() == 0
+
+    def test_nothing_respawns_once_stopping(self):
+        supervisor = Supervisor(
+            _idle, 1, args=lambda index: (60,), name="test-idle"
+        ).start()
+        supervisor.stop(timeout=5.0)
+        assert supervisor.poll() == 0
+        assert supervisor.alive() == 0
+        assert supervisor.respawned == 0
+
+    def test_sigterm_ignorer_is_killed_within_timeout(self, tmp_path):
+        ready = tmp_path / "ready"
+        supervisor = Supervisor(
+            _ignore_sigterm, 1, args=lambda index: (str(ready), 60),
+            name="test-stubborn",
+        ).start()
+        deadline = time.monotonic() + 30.0
+        while not ready.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert ready.exists(), "child never installed its handler"
+        t0 = time.monotonic()
+        supervisor.stop(timeout=1.0)
+        elapsed = time.monotonic() - t0
+        assert supervisor.alive() == 0
+        # SIGTERM was ignored for the whole timeout, then SIGKILL.
+        assert 1.0 <= elapsed < 4.0
 
 
 class TestWorkFloors:
