@@ -372,8 +372,8 @@ def cmd_work(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from repro.experiments.store import default_store
     from repro.obs import configure_logging
-    from repro.service.engine import default_store
     from repro.service.server import PredictionService
 
     configure_logging(level=args.log_level, json_mode=args.log_json)

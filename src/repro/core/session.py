@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.arch.config import MulticoreConfig
 from repro.core.epoch_model import EpochCostCache
+from repro.lru import LRUCache
 from repro.profiler.branchprof import BranchStatsCache
 from repro.profiler.ilp_batch import KERNEL_STATS, ILPTableCache
 from repro.profiler.profile import WorkloadProfile
@@ -45,6 +45,10 @@ from repro.profiler.profiler import SegmentPrepCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.store import ProfileStore
     from repro.workloads.engine import ExpansionEngine
+
+#: Resident Eq.-1 memos per session, LRU over (profile, config) pairs;
+#: read at construction.
+COST_CACHE_MAX_ENTRIES = 128
 
 # The store layer (repro.experiments) imports back into the harnesses
 # that accept ``session=``, so pulling it in at module-import time
@@ -67,13 +71,8 @@ class Session:
         Optional :class:`~repro.workloads.engine.ExpansionEngine`; by
         default the process-wide engine (and its static-artifact memo)
         is shared.
-    max_cost_caches:
-        Resident Eq.-1 memos kept, LRU over (profile, config) pairs.
-    max_trace_bytes:
-        Byte bound of the resident trace LRU.
 
-    Thread-safe: the component caches carry their own locks and the
-    cost-memo LRU locks here.
+    Thread-safe: every component cache carries its own lock.
     """
 
     def __init__(
@@ -81,22 +80,16 @@ class Session:
         store: Optional["ProfileStore"] = None,
         *,
         engine: Optional["ExpansionEngine"] = None,
-        max_cost_caches: int = 64,
-        max_trace_bytes: int = 512 << 20,
     ) -> None:
         from repro.experiments.store import TraceCache
 
         self.store = store
-        self.traces = TraceCache(
-            store=store, engine=engine, max_bytes=max_trace_bytes
-        )
+        self.traces = TraceCache(store=store, engine=engine)
         self.ilp = ILPTableCache(store)
         self.branches = BranchStatsCache()
         self.prep = SegmentPrepCache()
-        self.max_cost_caches = max_cost_caches
-        self._costs: "OrderedDict[Tuple[Any, str], Tuple[WorkloadProfile, EpochCostCache]]" = (
-            OrderedDict()
-        )
+        #: (profile identity, config fingerprint) -> (profile, memo)
+        self._costs = LRUCache(COST_CACHE_MAX_ENTRIES)
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
 
@@ -143,17 +136,11 @@ class Session:
 
         ident = key if key is not None else id(profile)
         ckey = (ident, config_fingerprint(config))
-        with self._lock:
-            entry = self._costs.get(ckey)
-            if entry is not None and entry[0] is profile:
-                self._costs.move_to_end(ckey)
-                return entry[1]
+        entry = self._costs.get(ckey)
+        if entry is not None and entry[0] is profile:
+            return entry[1]
         cache = EpochCostCache(profile, config)
-        with self._lock:
-            self._costs[ckey] = (profile, cache)
-            self._costs.move_to_end(ckey)
-            while len(self._costs) > self.max_cost_caches:
-                self._costs.popitem(last=False)
+        self._costs.put(ckey, (profile, cache))
         return cache
 
     # -- accounting ---------------------------------------------------------
@@ -178,18 +165,15 @@ class Session:
         Eq.-1 memos, expansion-engine and ILP-kernel counters, usage
         counters, and (when durable) the store's degradation counters.
         """
-        with self._lock:
-            n_costs = len(self._costs)
-            counters = dict(self._counters)
         out: Dict[str, Any] = {
             "trace_cache": self.traces.stats(),
             "ilp_cache": {"hits": self.ilp.hits, "misses": self.ilp.misses},
             "branch_cache": self.branches.stats(),
             "prep_cache": self.prep.stats(),
-            "cost_caches": n_costs,
+            "cost_caches": len(self._costs),
             "expand_engine": self.traces.engine.stats.snapshot(),
             "ilp_kernel": KERNEL_STATS.snapshot(),
-            "counters": counters,
+            "counters": self.counters,
             "durable": self.store is not None,
         }
         if self.store is not None:

@@ -36,11 +36,11 @@ import struct
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.lru import LRUCache
 from repro.profiler.profile import ILPTable, WorkloadProfile
 from repro.testing.faults import FAULTS, SimulatedCrash
 from repro.workloads.engine import (
@@ -1009,6 +1009,31 @@ class ProfileStore:
         return {"removed": removed, "bytes": nbytes}
 
 
+#: Resident trace LRU bounds (entries and bytes) of every
+#: :class:`TraceCache`, read at construction.
+TRACE_CACHE_MAX_ENTRIES = 64
+TRACE_CACHE_MAX_BYTES = 512 << 20
+#: Traces larger than this stay in memory only — a guard against
+#: unbounded store growth from huge one-off scales (``repro store
+#: prune`` reclaims what does get persisted).
+TRACE_PERSIST_MAX_BYTES = 64 << 20
+
+
+def default_store() -> Optional[ProfileStore]:
+    """The shared on-disk store, or ``None`` when its root is unusable.
+
+    Non-strict (see :meth:`ProfileStore.open_default`), so save-time
+    errors degrade to in-memory caching; a root that cannot even be
+    created yields ``None``.
+    """
+    try:
+        store = ProfileStore.open_default()
+        store.root.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return None
+    return store
+
+
 class TraceCache:
     """Content-addressed, byte-bounded LRU over expanded traces.
 
@@ -1030,27 +1055,14 @@ class TraceCache:
     def __init__(
         self,
         store: Optional[ProfileStore] = None,
-        max_bytes: int = 512 << 20,
-        max_traces: int = 64,
-        max_persist_bytes: int = 64 << 20,
         engine: Optional[ExpansionEngine] = None,
     ) -> None:
         self.store = store
         self.engine = engine if engine is not None else default_engine()
-        self.max_bytes = max_bytes
-        self.max_traces = max_traces
-        #: Traces larger than this stay in memory only — a guard
-        #: against unbounded store growth from huge one-off scales
-        #: (``repro store prune`` reclaims what does get persisted).
-        self.max_persist_bytes = max_persist_bytes
-        self._data: "OrderedDict[str, WorkloadTrace]" = OrderedDict()
-        self._nbytes = 0
+        self._lru = LRUCache(TRACE_CACHE_MAX_ENTRIES, TRACE_CACHE_MAX_BYTES)
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.store_hits = 0
         self.store_saves = 0
-        self.evictions = 0
 
     @staticmethod
     def key(spec: WorkloadSpec) -> str:
@@ -1076,14 +1088,9 @@ class TraceCache:
     def get(self, spec: WorkloadSpec) -> WorkloadTrace:
         """The expanded trace of ``spec`` (LRU -> store -> engine)."""
         key = self.key(spec)
-        with self._lock:
-            trace = self._data.get(key)
-            if trace is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return trace
-            self.misses += 1
-        trace = None
+        trace = self._lru.get(key)
+        if trace is not None:
+            return trace
         if self.store is not None:
             trace = self.store.load_trace(key)
         if trace is not None:
@@ -1093,47 +1100,20 @@ class TraceCache:
             trace = self.engine.expand(spec)
             if (
                 self.store is not None
-                and trace.nbytes <= self.max_persist_bytes
+                and trace.nbytes <= TRACE_PERSIST_MAX_BYTES
             ):
                 self.store.save_trace(key, trace)
                 with self._lock:
                     self.store_saves += 1
-        self._put(key, trace)
+        self._lru.put(key, trace, trace.nbytes)
         return trace
 
-    def _put(self, key: str, trace: WorkloadTrace) -> None:
-        with self._lock:
-            old = self._data.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._data[key] = trace
-            self._nbytes += trace.nbytes
-            while self._data and (
-                len(self._data) > self.max_traces
-                or self._nbytes > self.max_bytes
-            ):
-                _, evicted = self._data.popitem(last=False)
-                self._nbytes -= evicted.nbytes
-                self.evictions += 1
-
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    @property
-    def nbytes(self) -> int:
-        with self._lock:
-            return self._nbytes
+        return len(self._lru)
 
     def stats(self) -> Dict[str, int]:
+        stats = self._lru.stats()
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "store_hits": self.store_hits,
-                "store_saves": self.store_saves,
-                "evictions": self.evictions,
-                "traces": len(self._data),
-                "bytes": self._nbytes,
-                "max_bytes": self.max_bytes,
-            }
+            stats["store_hits"] = self.store_hits
+            stats["store_saves"] = self.store_saves
+        return stats

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.arch.config import MulticoreConfig
 from repro.core.rppm import PredictionResult, predict
 from repro.core.session import Session
-from repro.experiments.store import ProfileStore
+from repro.experiments.store import ProfileStore, default_store
 from repro.obs import get_logger
 from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import profile_workload
@@ -386,13 +386,5 @@ def shared_cache(scale: float = 1.0) -> RunCache:
     """
     global _SHARED
     if _SHARED is None or _SHARED.scale != scale:
-        try:
-            # Non-strict: save-time OSErrors (read-only root, full
-            # disk) silently degrade to the in-memory cache instead
-            # of aborting a computed result.
-            store: Optional[ProfileStore] = ProfileStore.open_default()
-            store.root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            store = None
-        _SHARED = RunCache(scale, store=store)
+        _SHARED = RunCache(scale, store=default_store())
     return _SHARED

@@ -35,12 +35,11 @@ floor is bit-identical to the reference path
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.profiler.profile import BranchStats
 
 #: History depths profiled; the predictor model interpolates.
@@ -208,7 +207,12 @@ def _legacy_group_order(group_keys: np.ndarray, depth: int) -> np.ndarray:
     return np.argsort(legacy, kind="stable")
 
 
-class BranchStatsCache:
+#: Resident entries of every :class:`BranchStatsCache`, read at
+#: construction.
+BRANCH_CACHE_MAX_ENTRIES = 8192
+
+
+class BranchStatsCache(LRUCache):
     """Content-addressed memo of per-pool branch statistics.
 
     ``branch_stats`` is a pure function of the concatenated
@@ -220,12 +224,8 @@ class BranchStatsCache:
     are shared and must be treated as read-only (all consumers are).
     """
 
-    def __init__(self, max_entries: int = 8192) -> None:
-        self._memo: "OrderedDict[bytes, BranchStats]" = OrderedDict()
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+    def __init__(self) -> None:
+        super().__init__(BRANCH_CACHE_MAX_ENTRIES)
 
     @staticmethod
     def key(pcs: np.ndarray, taken: np.ndarray) -> bytes:
@@ -234,30 +234,6 @@ class BranchStatsCache:
         h.update(np.ascontiguousarray(pcs).tobytes())
         h.update(np.ascontiguousarray(taken).tobytes())
         return h.digest()
-
-    def get(self, key: bytes) -> Optional[BranchStats]:
-        with self._lock:
-            stats = self._memo.get(key)
-            if stats is not None:
-                self._memo.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        return stats
-
-    def put(self, key: bytes, stats: BranchStats) -> None:
-        with self._lock:
-            self._memo[key] = stats
-            while len(self._memo) > self.max_entries:
-                self._memo.popitem(last=False)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._memo),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
 
 
 def cached_branch_stats(

@@ -64,6 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.obs import span
 from repro.profiler.ilp import (
     CANONICAL_LAT,
@@ -271,23 +272,14 @@ def _workspace(
     n: int, s: int, w: int, lats: int, aux: bool, windows: tuple
 ) -> _Workspace:
     key = (n, s, w, lats, aux, windows)
-    cache: Optional[dict] = getattr(_TLS, "ws", None)
+    cache: Optional[LRUCache] = getattr(_TLS, "ws", None)
     if cache is None:
-        cache = _TLS.ws = {}
-    ws = cache.pop(key, None)
+        cache = _TLS.ws = LRUCache(_WORKSPACE_SLOTS, _WORKSPACE_MAX_BYTES)
+    ws = cache.get(key)
     if ws is None:
         ws = _Workspace(key)
-        if ws.nbytes > _WORKSPACE_MAX_BYTES:
-            # Larger than the whole budget: use once, never pin.
-            ws.reset()
-            return ws
-        total = sum(other.nbytes for other in cache.values())
-        while cache and (
-            len(cache) >= _WORKSPACE_SLOTS
-            or total + ws.nbytes > _WORKSPACE_MAX_BYTES
-        ):
-            total -= cache.pop(next(iter(cache))).nbytes  # true LRU
-    cache[key] = ws  # (re-)insert at the fresh end
+        # One larger than the whole budget is used once, never pinned.
+        cache.put(key, ws, ws.nbytes)
     ws.reset()
     return ws
 

@@ -45,12 +45,11 @@ equivalence suite pins identical profiles between the two.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.obs import span
 from repro.profiler.batch import replay_data, replay_fetch
 from repro.profiler.branchprof import BranchStatsCache, cached_branch_stats
@@ -409,6 +408,12 @@ def _segment_static(block: TraceBlock, chunk: int) -> _SegmentStatic:
     return st
 
 
+#: Resident bounds (entries and bytes) of every
+#: :class:`SegmentPrepCache`, read at construction.
+PREP_CACHE_MAX_ENTRIES = 4096
+PREP_CACHE_MAX_BYTES = 256 << 20
+
+
 class SegmentPrepCache:
     """Bounded memo of per-``(static_key, chunk)`` segment precompute.
 
@@ -419,52 +424,22 @@ class SegmentPrepCache:
     pre-key store payloads) bypass the cache and compute directly.
     """
 
-    def __init__(
-        self, max_entries: int = 4096, max_bytes: int = 256 << 20
-    ) -> None:
-        self._memo: "OrderedDict[Tuple, _SegmentStatic]" = OrderedDict()
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+    def __init__(self) -> None:
+        self._lru = LRUCache(PREP_CACHE_MAX_ENTRIES, PREP_CACHE_MAX_BYTES)
 
     def get(self, block: TraceBlock, chunk: int) -> _SegmentStatic:
         skey = block.static_key
         if skey is None:
             return _segment_static(block, chunk)
         key = (skey, chunk)
-        with self._lock:
-            st = self._memo.get(key)
-            if st is not None:
-                self._memo.move_to_end(key)
-                self.hits += 1
-                return st
-            self.misses += 1
-        st = _segment_static(block, chunk)
-        with self._lock:
-            old = self._memo.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._memo[key] = st
-            self._bytes += st.nbytes
-            while self._memo and (
-                len(self._memo) > self.max_entries
-                or self._bytes > self.max_bytes
-            ):
-                _, evicted = self._memo.popitem(last=False)
-                self._bytes -= evicted.nbytes
+        st = self._lru.get(key)
+        if st is None:
+            st = _segment_static(block, chunk)
+            self._lru.put(key, st, st.nbytes)
         return st
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._memo),
-                "bytes": self._bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return self._lru.stats()
 
 
 #: Shared prep memo for sessionless calls (mirrors ``default_engine``).

@@ -11,7 +11,7 @@ asyncio request coalescer deduplicates concurrent identical work
 closed-loop load generator (:mod:`~repro.service.loadgen`).
 """
 
-from repro.service.batching import Coalescer, LRUCache
+from repro.service.batching import Coalescer
 from repro.service.client import (
     ServiceClient,
     ServiceError,
@@ -33,7 +33,6 @@ from repro.service.server import BackgroundServer, PredictionService
 __all__ = [
     "BackgroundServer",
     "Coalescer",
-    "LRUCache",
     "PredictionEngine",
     "PredictionService",
     "ServiceClient",

@@ -1,20 +1,15 @@
-"""Request coalescing primitives for the prediction service.
+"""Request coalescing for the prediction service.
 
-Two transport-agnostic pieces:
+:class:`Coalescer` is the asyncio front half of the serving data
+path.  Concurrent requests are *deduplicated*: identical keys in
+flight collapse onto one future (single-flight), so a stampede of
+equal requests costs exactly one engine computation.  Each distinct
+request goes straight to the engine's thread pool and waits in the
+pool's own queue.
 
-* :class:`LRUCache` — a thread-safe least-recently-used map with hit /
-  miss counters, shared by the engine for profiles, epoch-cost caches
-  and finished payloads.
-* :class:`Coalescer` — the asyncio front half of the serving data
-  path.  Concurrent requests are *deduplicated*: identical keys in
-  flight collapse onto one future (single-flight), so a stampede of
-  equal requests costs exactly one engine computation.  Each distinct
-  request goes straight to the engine's thread pool and waits in the
-  pool's own queue.
-
-Neither piece knows about HTTP or about the engine's semantics — the
-coalescer takes an opaque ``compute`` callable and opaque request
-objects keyed by the caller.
+It knows nothing about HTTP or about the engine's semantics: it takes
+an opaque ``compute`` callable and opaque request objects keyed by the
+caller.
 """
 
 from __future__ import annotations
@@ -23,72 +18,7 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Tuple
-
-
-class LRUCache:
-    """Thread-safe LRU map with hit/miss accounting."""
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return default
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def items(self) -> List[Tuple[Hashable, Any]]:
-        """Snapshot, least- to most-recently used."""
-        with self._lock:
-            return list(self._data.items())
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were evicted.
-
-        Hit/miss counters survive — invalidation is not amnesia about
-        past performance.
-        """
-        with self._lock:
-            dropped = len(self._data)
-            self._data.clear()
-            return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
+from typing import Any, Callable, Dict, Hashable, Tuple
 
 
 class Coalescer:

@@ -39,12 +39,12 @@ from repro.arch.presets import TABLE_IV, table_iv_config
 from repro.core.rppm import PredictionResult, predict
 from repro.core.session import Session
 from repro.experiments.store import ProfileStore
+from repro.lru import LRUCache
 from repro.obs import span
 from repro.obs.tracing import activate, deactivate
 from repro.experiments.suites import BenchmarkRef, build_workload
 from repro.profiler.profile import WorkloadProfile
 from repro.profiler.profiler import profile_workload
-from repro.service.batching import LRUCache
 from repro.simulator.multicore import simulate
 from repro.testing.faults import FAULTS
 from repro.workloads.parsec import PARSEC
@@ -70,20 +70,6 @@ def resolve_benchmark(name: str) -> BenchmarkRef:
     if suite not in ("rodinia", "parsec"):
         raise ValueError(f"unknown suite {suite!r}")
     return BenchmarkRef(suite, bench)
-
-
-def default_store() -> Optional[ProfileStore]:
-    """The shared on-disk store, or ``None`` when its root is unusable.
-
-    Mirrors :func:`repro.experiments.suites.shared_cache`: non-strict,
-    so an unwritable root degrades the engine to memory-only caching.
-    """
-    try:
-        store = ProfileStore.open_default()
-        store.root.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return None
-    return store
 
 
 @dataclass(frozen=True)
@@ -135,6 +121,15 @@ class ServiceError(Exception):
         self.status = status
 
 
+#: Resident bounds of every :class:`PredictionEngine`'s LRUs, read at
+#: construction.  Every key is client-controlled, so each is bounded;
+#: a workload spec runs to ~60 KB pickled (fluidanimate), hence the
+#: smaller spec bound.
+PROFILE_CACHE_MAX_ENTRIES = 32
+RESULT_CACHE_MAX_ENTRIES = 4096
+SPEC_CACHE_MAX_ENTRIES = 256
+
+
 class PredictionEngine:
     """Resident profiles + caches serving predict/compare/sweep calls."""
 
@@ -142,10 +137,6 @@ class PredictionEngine:
         self,
         store: Optional[ProfileStore] = None,
         chunk: int = 4096,
-        max_profiles: int = 32,
-        max_cost_caches: int = 128,
-        max_results: int = 4096,
-        max_trace_bytes: int = 256 << 20,
         session: Optional[Session] = None,
     ) -> None:
         #: The artifact cache plane: content-addressed traces, ILP
@@ -153,23 +144,21 @@ class PredictionEngine:
         #: Eq.-1 memos.  A cold ``/v1/compare`` pays trace expansion
         #: once for profile + simulation; repeats pay zero.
         if session is None:
-            session = Session(
-                store=store,
-                max_cost_caches=max_cost_caches,
-                max_trace_bytes=max_trace_bytes,
-            )
+            session = Session(store=store)
         elif store is not None and session.store is not store:
             raise ValueError("pass either a store or a session, not both")
         self.session = session
         self.store = session.store
         self.chunk = chunk
         #: profile store key -> (label, WorkloadProfile)
-        self._profiles = LRUCache(max_profiles)
+        self._profiles = LRUCache(PROFILE_CACHE_MAX_ENTRIES)
         #: request key -> finished payload (treated as immutable)
-        self.results = LRUCache(max_results)
-        #: (label, scale) -> workload seed (pure function; bounded like
-        #: every other engine cache — the key is client-controlled)
-        self._seeds = LRUCache(4096)
+        self.results = LRUCache(RESULT_CACHE_MAX_ENTRIES)
+        #: (label, scale) -> workload spec.  The spec object carries its
+        #: memoized content address, so the profile key, the trace
+        #: lookup for profiling and the one for simulation share one
+        #: build and one fingerprint.
+        self._specs = LRUCache(SPEC_CACHE_MAX_ENTRIES)
         self._lock = threading.Lock()
         self.stats = EngineStats()
         #: Version-stamped invalidation: the store generation this
@@ -225,20 +214,17 @@ class PredictionEngine:
             self.stats.invalidations += 1
         self._profiles.clear()
         self.results.clear()
-        self._seeds.clear()
+        self._specs.clear()
 
     # -- workload / profile resolution --------------------------------------
 
     def _spec(self, ref: BenchmarkRef, scale: float):
-        spec = build_workload(ref, scale)
-        self._seeds.put((ref.label, scale), int(spec.seed))
+        key = (ref.label, scale)
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = build_workload(ref, scale)
+            self._specs.put(key, spec)
         return spec
-
-    def _seed(self, ref: BenchmarkRef, scale: float) -> int:
-        seed = self._seeds.get((ref.label, scale))
-        if seed is None:
-            seed = int(self._spec(ref, scale).seed)
-        return seed
 
     def _trace(self, ref: BenchmarkRef, scale: float):
         """Expanded trace via the engine-resident content-addressed LRU."""
@@ -246,7 +232,7 @@ class PredictionEngine:
 
     def profile_key(self, ref: BenchmarkRef, scale: float) -> str:
         return ProfileStore.profile_key(
-            ref.label, self._seed(ref, scale), scale, self.chunk
+            ref.label, int(self._spec(ref, scale).seed), scale, self.chunk
         )
 
     def profile(
@@ -642,7 +628,6 @@ __all__ = [
     "ServiceError",
     "ServiceRequest",
     "compare_payload",
-    "default_store",
     "error_budget",
     "format_compare",
     "format_prediction",

@@ -22,12 +22,11 @@ directly; cold/invalidated accesses play the role of never-reused
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Tuple
 
 import numpy as np
 
+from repro.lru import LRUCache
 from repro.profiler.histogram import RDHistogram
 
 #: Entries kept in the stack-distance curve memo.  A design-space sweep
@@ -35,26 +34,18 @@ from repro.profiler.histogram import RDHistogram
 #: five configs; a few hundred curves cover every realistic run.
 _SD_CACHE_MAX = 512
 
-_sd_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_sd_lock = threading.Lock()
-_sd_hits = 0
-_sd_misses = 0
+_sd_cache = LRUCache(_SD_CACHE_MAX)
 
 
 def sd_cache_stats() -> dict:
-    """Hit/miss counters of the stack-distance memo (for tests/metrics)."""
-    with _sd_lock:
-        return {
-            "hits": _sd_hits, "misses": _sd_misses, "size": len(_sd_cache),
-        }
+    """Counters of the stack-distance memo (for tests/metrics)."""
+    return _sd_cache.stats()
 
 
 def sd_cache_clear() -> None:
-    global _sd_hits, _sd_misses
-    with _sd_lock:
-        _sd_cache.clear()
-        _sd_hits = 0
-        _sd_misses = 0
+    """Drop every memoized curve and reset the counters."""
+    global _sd_cache
+    _sd_cache = LRUCache(_SD_CACHE_MAX)
 
 
 def expected_stack_distances(
@@ -71,20 +62,11 @@ def expected_stack_distances(
     key — callers receive shared arrays and must treat them as
     read-only.
     """
-    global _sd_hits, _sd_misses
     key = (hist.counts.tobytes(), hist.cold, hist.inval)
-    with _sd_lock:
-        cached = _sd_cache.get(key)
-        if cached is not None:
-            _sd_hits += 1
-            _sd_cache.move_to_end(key)
-            return cached
-        _sd_misses += 1
-    result = _compute_stack_distances(hist)
-    with _sd_lock:
-        _sd_cache[key] = result
-        if len(_sd_cache) > _SD_CACHE_MAX:
-            _sd_cache.popitem(last=False)
+    result = _sd_cache.get(key)
+    if result is None:
+        result = _compute_stack_distances(hist)
+        _sd_cache.put(key, result)
     return result
 
 

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.store as store_mod
+import repro.workloads.engine as engine_mod
 from repro.experiments.store import ProfileStore, TraceCache
 from repro.workloads import kernels as k
 from repro.workloads.builder import WorkloadBuilder
@@ -147,13 +149,14 @@ class TestEquivalence:
         assert after["image_hits"] > stats["image_hits"]
         assert_traces_equal(first, second)
 
-    def test_image_memo_byte_budget(self):
+    def test_image_memo_byte_budget(self, monkeypatch):
         # An engine whose memo cannot hold anything still expands
         # correctly — it just recomputes images instead of caching.
+        monkeypatch.setattr(engine_mod, "IMAGE_CACHE_MAX_BYTES", 1)
         spec = barrier_workload(seed=55)
-        eng = ExpansionEngine(max_image_bytes=1, stats=EngineStats())
+        eng = ExpansionEngine(stats=EngineStats())
         assert_traces_equal(legacy_expand(spec), eng.expand(spec))
-        assert eng._image_bytes == 0 and len(eng._images) == 0
+        assert eng._images.stats()["bytes"] == 0 and len(eng._images) == 0
 
     def test_zero_length_epochs(self):
         b = WorkloadBuilder("test.zero", 2, seed=5)
@@ -290,16 +293,18 @@ class TestTraceCache:
         assert a is not c
         assert len(cache) == 2
 
-    def test_lru_eviction_by_count(self):
-        cache = TraceCache(max_traces=2)
+    def test_lru_eviction_by_count(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "TRACE_CACHE_MAX_ENTRIES", 2)
+        cache = TraceCache()
         specs = [barrier_workload(seed=s) for s in (1, 2, 3)]
         for spec in specs:
             cache.get(spec)
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
 
-    def test_byte_budget_evicts(self):
-        cache = TraceCache(max_bytes=1)  # nothing fits
+    def test_byte_budget_evicts(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "TRACE_CACHE_MAX_BYTES", 1)
+        cache = TraceCache()  # nothing fits
         cache.get(barrier_workload(seed=4))
         assert len(cache) == 0 and cache.stats()["evictions"] == 1
 
@@ -316,9 +321,10 @@ class TestTraceCache:
         assert cold.stats()["store_hits"] == 1
         assert_traces_equal(trace, again)
 
-    def test_oversized_traces_stay_memory_only(self, tmp_path):
+    def test_oversized_traces_stay_memory_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_mod, "TRACE_PERSIST_MAX_BYTES", 1)
         store = ProfileStore(tmp_path)
-        cache = TraceCache(store=store, max_persist_bytes=1)
+        cache = TraceCache(store=store)
         cache.get(barrier_workload(seed=7))
         assert cache.stats()["store_saves"] == 0
         assert store.list_keys("traces") == []

@@ -19,7 +19,7 @@ import pytest
 
 import repro.workloads.engine as engine_mod
 from repro.experiments.store import SCHEMA_VERSION, ProfileStore
-from repro.service.batching import LRUCache
+from repro.lru import LRUCache
 from repro.service.client import ServiceClient
 from repro.service.engine import PredictionEngine
 from repro.service.server import BackgroundServer

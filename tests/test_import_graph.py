@@ -9,6 +9,10 @@ may import them.
 Processes are created in one place, the ``Supervisor`` in
 ``experiments/workqueue.py``: no other module may import
 ``multiprocessing`` or a process pool.
+
+LRU eviction is implemented in one place, ``repro/lru.py``: no other
+module may use ``OrderedDict``, except the obs trace ring, an
+insertion-order FIFO whose reads must not reorder it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ALLOWED = {SRC / "repro" / "experiments" / "bench.py"}
 #: The one module allowed to create processes.
 PROCESS_OWNER = SRC / "repro" / "experiments" / "workqueue.py"
+
+#: The modules allowed to use ``OrderedDict``.
+LRU_OWNER = SRC / "repro" / "lru.py"
+ORDERED_DICT_ALLOWED = {LRU_OWNER, SRC / "repro" / "obs" / "tracing.py"}
 
 #: Whole modules no production module may import.
 SPEC_MODULES = {"repro.profiler.reference"}
@@ -107,6 +115,20 @@ def process_imports(path: Path) -> list:
     return found
 
 
+def ordered_dict_uses(path: Path) -> list:
+    """Every ``OrderedDict`` import or attribute use in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(
+                f"{node.module}.{alias.name}" for alias in node.names
+                if alias.name == "OrderedDict"
+            )
+        elif isinstance(node, ast.Attribute) and node.attr == "OrderedDict":
+            found.append("OrderedDict")
+    return found
+
+
 class TestImportGraph:
     def test_specs_only_imported_by_bench(self):
         offenders = {
@@ -135,3 +157,14 @@ class TestImportGraph:
 
     def test_process_guard_sees_the_supervisor_import(self):
         assert "multiprocessing" in process_imports(PROCESS_OWNER)
+
+    def test_only_the_lru_module_uses_ordered_dict(self):
+        offenders = {
+            str(path.relative_to(SRC)): ordered_dict_uses(path)
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if path not in ORDERED_DICT_ALLOWED and ordered_dict_uses(path)
+        }
+        assert offenders == {}
+
+    def test_ordered_dict_guard_sees_the_lru_import(self):
+        assert "collections.OrderedDict" in ordered_dict_uses(LRU_OWNER)

@@ -1,11 +1,11 @@
 """Tests for the serving subsystem (:mod:`repro.service`).
 
-Covers the coalescing primitives (LRU semantics, single-flight
-collapse, reaping of abandoned queued work), the engine's caching
-behaviour, and the real HTTP stack end to end — including the acceptance properties: a
-stampede of identical requests costs exactly one engine computation,
-and ``/v1/predict`` responses re-rendered through the shared formatter
-are byte-identical to ``python -m repro predict`` output.
+Covers the coalescer (single-flight collapse, reaping of abandoned
+queued work), the engine's caching behaviour, and the real HTTP stack
+end to end — including the acceptance properties: a stampede of
+identical requests costs exactly one engine computation, and
+``/v1/predict`` responses re-rendered through the shared formatter are
+byte-identical to ``python -m repro predict`` output.
 """
 
 import asyncio
@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cli import main
-from repro.service.batching import Coalescer, LRUCache
+from repro.service.batching import Coalescer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import (
     PredictionEngine,
@@ -29,47 +29,6 @@ from repro.service.loadgen import run_loadgen
 from repro.service.server import BackgroundServer
 
 SCALE = 0.25
-
-
-class TestLRUCache:
-    def test_put_get(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-    def test_eviction_order_is_lru(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a; b is now least recent
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_put_refreshes_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # re-put refreshes
-        cache.put("c", 3)
-        assert "b" not in cache and cache.get("a") == 10
-
-    def test_maxsize_enforced(self):
-        cache = LRUCache(3)
-        for i in range(10):
-            cache.put(i, i)
-        assert len(cache) == 3
-        with pytest.raises(ValueError):
-            LRUCache(0)
-
-    def test_items_snapshot(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.items() == [("a", 1), ("b", 2)]
 
 
 class TestCoalescer:
@@ -221,6 +180,21 @@ class TestEngine:
         assert len(payload["results"]) == 5
         assert engine.stats.profiles_built == 1
 
+    def test_cold_compare_keys_the_spec_once(self, monkeypatch):
+        # The engine memoizes the spec, so its content address is
+        # computed once and shared by the profile and the simulation.
+        from repro.experiments.store import ProfileStore
+        calls = []
+        trace_key = ProfileStore.trace_key
+
+        def counting(spec):
+            calls.append(spec)
+            return trace_key(spec)
+
+        monkeypatch.setattr(ProfileStore, "trace_key", staticmethod(counting))
+        PredictionEngine(store=None).compare("rodinia.nn", scale=SCALE)
+        assert len(calls) == 1
+
     def test_handle_maps_errors_to_statuses(self):
         engine = PredictionEngine(store=None)
         status, payload = engine.handle(
@@ -275,7 +249,7 @@ class TestHTTPEndpoints:
         session = client.healthz()["engine"]["session"]
         tcache = session["trace_cache"]
         for key in ("hits", "misses", "store_hits", "store_saves",
-                    "evictions", "traces", "bytes"):
+                    "evictions", "entries", "bytes"):
             assert key in tcache
         assert tcache["misses"] >= 1
         expand = session["expand_engine"]
@@ -453,6 +427,8 @@ class TestObservability:
         ):
             assert series in text, f"missing {series}"
         assert 'repro_cache_hits{cache="result"}' in text
+        for cache in ("result", "profile", "trace", "branch", "prep"):
+            assert f'repro_cache_entries{{cache="{cache}"}}' in text
         assert 'repro_stage_seconds_bucket{stage="engine"' in text
 
     def test_metrics_covers_store_series(self, tmp_path):
