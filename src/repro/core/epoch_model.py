@@ -1,10 +1,16 @@
 """Phase 1 of RPPM's prediction (Fig. 3b): per-epoch active times.
 
 Each dynamic segment's active execution time is its instruction count
-times the Eq.-1 CPI of its pool on the target configuration.  Costs are
-memoised per (pool, configuration) — this is what makes RPPM "rapid":
-a workload with millions of dynamic synchronization epochs still needs
-only one Eq.-1 evaluation per static code region.
+times the Eq.-1 CPI of its pool on the target configuration, plus a
+pipeline restart.  Costs are memoised per (pool, configuration) — this
+is what makes RPPM "rapid": a workload with millions of dynamic
+synchronization epochs still needs only one Eq.-1 evaluation per
+static code region.
+
+:func:`repro.core.rppm.predict` reads each pool's costs once and sums a
+thread's segments in plain floats.  :func:`predict_epoch_cycles` is
+the per-segment form of the same arithmetic; the baselines use it, and
+the tests pin ``predict``'s sums to it bit for bit.
 """
 
 from __future__ import annotations

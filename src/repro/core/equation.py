@@ -32,6 +32,7 @@ segment's instruction count to get its predicted active cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.arch.config import MulticoreConfig
 from repro.branch.entropy_model import predict_miss_rate
@@ -58,15 +59,22 @@ class EpochCosts:
     data_llc_miss: float
     mlp: float
 
+    def __post_init__(self) -> None:
+        # predict builds no per-segment stacks: check once per pool.
+        for name in ("cpi_base", "cpi_branch", "cpi_icache", "cpi_mem"):
+            if getattr(self, name) < -1e-9:
+                raise ValueError(f"negative {name} component")
+
     @property
     def cpi_active(self) -> float:
         """Total active (non-sync) CPI."""
         return self.cpi_base + self.cpi_branch + self.cpi_icache + self.cpi_mem
 
 
-def _port_throughput_cap(pool: EpochProfile, config: MulticoreConfig) -> float:
+def _port_throughput_cap(
+    mix: Dict[str, float], config: MulticoreConfig
+) -> float:
     """Max IPC allowed by per-class issue ports given the mix."""
-    mix = pool.mix
     ports = config.core.ports
     cap = float("inf")
     for name, frac in mix.items():
@@ -104,7 +112,10 @@ def evaluate_equation(
     # the profiled ILP table (Van den Steen et al. [37]).
     ilp_hit = pool.ilp.lookup(core.rob_size, lat_hit)
     ilp_full = pool.ilp.lookup(core.rob_size, lat_hit + m3 * mem_cycles)
-    port_cap = _port_throughput_cap(pool, config)
+    # The mix is computed from ``class_counts`` on every read; read it
+    # once (the profiler mutates the counts, so it is not memoized).
+    mix = pool.mix
+    port_cap = _port_throughput_cap(mix, config)
     deff = min(float(core.dispatch_width), ilp_hit, port_cap)
     deff = max(deff, 1e-3)
     cpi_base = 1.0 / deff
@@ -117,7 +128,7 @@ def evaluate_equation(
     # MSHR throttle: the scoreboard assumes unbounded outstanding
     # misses; hardware tracks at most ``mshr_entries``.  The serialized
     # floor is (misses per instruction) * memory latency / MSHRs.
-    loads_pi = pool.loads_per_instruction
+    loads_pi = mix.get("load", 0.0)
     mshr_floor = loads_pi * m3 * mem_cycles / mlp_cap
     cpi_mem = max(cpi_mem, mshr_floor)
     # Effective memory-level parallelism implied by the component
@@ -141,7 +152,7 @@ def evaluate_equation(
     miss_wait = 0.5 * p_miss_dep * mem_cycles
     c_res = 2.0 + miss_wait
     c_fr = float(core.frontend_depth)
-    bpi = pool.branches_per_instruction
+    bpi = mix.get("branch", 0.0)
     cpi_branch = bpi * m_bpred * (c_res + c_fr)
     # Overlap between branch and D-cache stalls: while a redirect waits
     # on a miss, the window drains on the *same* miss — those cycles

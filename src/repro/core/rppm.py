@@ -1,7 +1,7 @@
 """RPPM end-to-end prediction: Profile x Config -> performance.
 
-Phase 1 predicts each segment's active time with Eq. 1 (see
-:mod:`repro.core.epoch_model`); phase 2 replays the profiled
+Phase 1 predicts each segment's active time with Eq. 1, evaluated once
+per pool (see :mod:`repro.core.epoch_model`); phase 2 replays the profiled
 synchronization structure symbolically through the shared DES scheduler
 — the paper's Algorithm 2 — adding idle time where threads wait at
 barriers, locks, condition variables and joins.  The result carries the
@@ -16,7 +16,7 @@ from typing import List
 
 from repro.arch.config import MulticoreConfig
 from repro.core.cpi_stack import CPIStack
-from repro.core.epoch_model import EpochCostCache, predict_epoch_cycles
+from repro.core.epoch_model import EpochCostCache, segment_startup_cycles
 from repro.obs import span
 from repro.profiler.profile import WorkloadProfile
 from repro.runtime.scheduler import run_schedule
@@ -64,6 +64,13 @@ def predict(
 ) -> PredictionResult:
     """Predict multithreaded execution on ``config`` from ``profile``.
 
+    Phase 1 evaluates Eq. 1 once per (thread, pool) and sums each
+    thread's segment durations and CPI-stack components in plain
+    floats, building one :class:`CPIStack` per thread; the sums equal,
+    bit for bit, adding the per-segment stacks of
+    :func:`repro.core.epoch_model.predict_epoch_cycles`.  Phase 2
+    replays the synchronization structure over the durations.
+
     ``session`` (a :class:`repro.core.session.Session`) keeps the
     per-(thread, pool) Eq.-1 memo resident across calls for the same
     (profile, config) pair — the memo is read/extend-only, so reuse is
@@ -76,16 +83,40 @@ def predict(
         cache = EpochCostCache(profile, config)
 
     with span("predict", workload=profile.name, config=config.name):
-        # Phase 1: active cycles per segment (memoised per pool).
+        # Phase 1: active cycles per segment.  Each pool's Eq.-1 terms
+        # are read once; durations and stack components are summed in
+        # segment order, in the same association as per-segment stacks.
+        startup = segment_startup_cycles(config)
         durations: List[List[float]] = []
-        stacks = [CPIStack() for _ in range(profile.n_threads)]
+        stacks: List[CPIStack] = []
         for thread in profile.threads:
+            terms = {}
             per_segment = []
+            base = branch = icache = mem = 0.0
+            n_costed = 0
             for segment in thread.segments:
-                cycles, stack = predict_epoch_cycles(cache, thread, segment)
-                per_segment.append(float(cycles))
-                stacks[thread.thread_id].add(stack)
+                key, n = segment.key, segment.n_instructions
+                if key is None or n == 0:
+                    per_segment.append(0.0)
+                    continue
+                t = terms.get(key)
+                if t is None:
+                    c = cache.costs(thread, key)
+                    t = terms[key] = (
+                        c.cpi_active, c.cpi_base, c.cpi_branch,
+                        c.cpi_icache, c.cpi_mem,
+                    )
+                per_segment.append(float(t[0] * n + startup))
+                base += t[1] * n + startup
+                branch += t[2] * n
+                icache += t[3] * n
+                mem += t[4] * n
+                n_costed += n
             durations.append(per_segment)
+            stacks.append(CPIStack(
+                base=base, branch=branch, icache=icache, mem=mem,
+                instructions=n_costed,
+            ))
 
         # Phase 2: symbolic execution of the synchronization structure
         # (Algorithm 2) over the predicted per-epoch times.

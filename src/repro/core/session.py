@@ -171,7 +171,7 @@ class Session:
             "branch_cache": self.branches.stats(),
             "prep_cache": self.prep.stats(),
             "cost_caches": len(self._costs),
-            "expand_engine": self.traces.engine.stats.snapshot(),
+            "expand_engine": self.traces.engine.snapshot(),
             "ilp_kernel": KERNEL_STATS.snapshot(),
             "counters": self.counters,
             "durable": self.store is not None,

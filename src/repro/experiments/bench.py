@@ -448,7 +448,7 @@ def run_profiler_bench(
         lambda: [expand(s) for s in specs],  # legacy re-expansion
         reps,
     )
-    engine_stats = engine.stats.snapshot()
+    engine_stats = engine.snapshot()
     cache_stats = tcache.stats()
 
     streams = extract_streams(refs, scale, traces=traces)

@@ -13,6 +13,7 @@ is the "one-time-cost profile" artifact of Fig. 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -72,61 +73,58 @@ class ILPTable:
             raise ValueError("load-parallelism shape mismatch")
         if (self.load_par < 1.0 - 1e-9).any():
             raise ValueError("load parallelism must be >= 1")
+        # The lookups run on Python floats: grids and tables as lists,
+        # and np.log2 of each queried window memoized, since math.log2
+        # may differ from it in the last ulp.
+        self._wgrid = np.log2(
+            np.asarray(self.windows, dtype=np.float64)
+        ).tolist()
+        self._lgrid = np.asarray(self.load_lats, dtype=np.float64).tolist()
+        self._rows = self.ilp.tolist()
+        self._branch_loads = self.branch_loads.tolist()
+        self._log2: Dict[float, float] = {}
 
-    def _bilinear(
-        self, grid: np.ndarray, window: int, load_lat: float
-    ) -> float:
-        """Bilinear interpolation (log2 in window, linear in latency)."""
-        w = float(np.clip(window, self.windows[0], self.windows[-1]))
-        lat = float(
-            np.clip(load_lat, self.load_lats[0], self.load_lats[-1])
-        )
-        wgrid = np.log2(np.asarray(self.windows, dtype=np.float64))
-        lgrid = np.asarray(self.load_lats, dtype=np.float64)
-        wi = int(np.searchsorted(wgrid, np.log2(w), side="right") - 1)
-        wi = min(max(wi, 0), len(self.windows) - 2) if len(
-            self.windows
-        ) > 1 else 0
-        li = int(np.searchsorted(lgrid, lat, side="right") - 1)
-        li = min(max(li, 0), len(self.load_lats) - 2) if len(
-            self.load_lats
-        ) > 1 else 0
-        if len(self.windows) == 1 and len(self.load_lats) == 1:
-            return float(grid[0, 0])
-        if len(self.windows) == 1:
-            frac = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
-            return float(
-                grid[0, li] * (1 - frac) + grid[0, li + 1] * frac
-            )
-        if len(self.load_lats) == 1:
-            frac = (np.log2(w) - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
-            return float(
-                grid[wi, 0] * (1 - frac) + grid[wi + 1, 0] * frac
-            )
-        fw = (np.log2(w) - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
-        fl = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
-        top = grid[wi, li] * (1 - fl) + grid[wi, li + 1] * fl
-        bot = grid[wi + 1, li] * (1 - fl) + grid[wi + 1, li + 1] * fl
-        return float(top * (1 - fw) + bot * fw)
+    def _log2_window(self, window: int) -> float:
+        """``np.log2`` of ``window`` clipped to the grid (memoized)."""
+        w = float(min(max(window, self.windows[0]), self.windows[-1]))
+        lw = self._log2.get(w)
+        if lw is None:
+            lw = self._log2[w] = float(np.log2(w))
+        return lw
 
     def lookup(self, window: int, load_lat: float) -> float:
-        """Interpolated ILP at a window size and average load latency."""
-        return self._bilinear(self.ilp, window, load_lat)
-
-    def _window_interp(self, values: np.ndarray, window: int) -> float:
-        """Interpolate a per-window vector at ``window`` (log2-linear)."""
-        w = float(np.clip(window, self.windows[0], self.windows[-1]))
-        if len(self.windows) == 1:
-            return float(values[0])
-        wgrid = np.log2(np.asarray(self.windows, dtype=np.float64))
-        wi = int(np.searchsorted(wgrid, np.log2(w), side="right") - 1)
-        wi = min(max(wi, 0), len(self.windows) - 2)
-        frac = (np.log2(w) - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
-        return float(values[wi] * (1 - frac) + values[wi + 1] * frac)
+        """Interpolated ILP at a window size and average load latency
+        (bilinear: log2 in window, linear in latency)."""
+        lw = self._log2_window(window)
+        lat = float(min(max(load_lat, self.load_lats[0]), self.load_lats[-1]))
+        rows, wgrid, lgrid = self._rows, self._wgrid, self._lgrid
+        nw, nl = len(wgrid), len(lgrid)
+        wi = min(max(bisect_right(wgrid, lw) - 1, 0), nw - 2) if nw > 1 else 0
+        li = min(max(bisect_right(lgrid, lat) - 1, 0), nl - 2) if nl > 1 else 0
+        if nw == 1 and nl == 1:
+            return rows[0][0]
+        if nw == 1:
+            frac = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
+            return rows[0][li] * (1 - frac) + rows[0][li + 1] * frac
+        if nl == 1:
+            frac = (lw - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
+            return rows[wi][0] * (1 - frac) + rows[wi + 1][0] * frac
+        fw = (lw - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
+        fl = (lat - lgrid[li]) / (lgrid[li + 1] - lgrid[li])
+        top = rows[wi][li] * (1 - fl) + rows[wi][li + 1] * fl
+        bot = rows[wi + 1][li] * (1 - fl) + rows[wi + 1][li + 1] * fl
+        return top * (1 - fw) + bot * fw
 
     def lookup_branch_loads(self, window: int) -> float:
         """Interpolated branch backward-slice load count at a window."""
-        return self._window_interp(self.branch_loads, window)
+        values = self._branch_loads
+        lw = self._log2_window(window)
+        if len(values) == 1:
+            return values[0]
+        wgrid = self._wgrid
+        wi = min(max(bisect_right(wgrid, lw) - 1, 0), len(wgrid) - 2)
+        frac = (lw - wgrid[wi]) / (wgrid[wi + 1] - wgrid[wi])
+        return values[wi] * (1 - frac) + values[wi + 1] * frac
 
     def equals_exact(self, other: "ILPTable") -> bool:
         """Bit-exact equality on every field.
@@ -294,10 +292,11 @@ class EpochProfile:
     @property
     def mix(self) -> Dict[str, float]:
         """Instruction-mix fractions by class name."""
-        total = max(1, int(self.class_counts.sum()))
+        counts = self.class_counts.tolist()
+        total = max(1, int(sum(counts)))
         return {
-            name: float(self.class_counts[i]) / total
-            for i, name in enumerate(OP_CLASSES)
+            name: float(count) / total
+            for name, count in zip(OP_CLASSES, counts)
         }
 
     @property

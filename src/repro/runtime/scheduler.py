@@ -117,32 +117,14 @@ class _Scheduler:
 
     # -- event handlers -----------------------------------------------------
 
-    def _handle(self, tid: int, time: float, event: SyncOp) -> None:
-        kind = event.kind
-        state = self.threads[tid]
-        if kind is SyncKind.NONE:
-            state.next_segment += 1
-            self._advance(tid)
-        elif kind is SyncKind.CREATE:
-            self._start_thread(event.obj, time)
-            state.next_segment += 1
-            self._advance(tid)
-        elif kind in (SyncKind.BARRIER, SyncKind.CV_BARRIER):
-            self._handle_barrier(tid, time, event)
-        elif kind is SyncKind.LOCK:
-            self._handle_lock(tid, time, event)
-        elif kind is SyncKind.UNLOCK:
-            self._handle_unlock(tid, time, event)
-        elif kind is SyncKind.PC_PUT:
-            self._handle_put(tid, time, event)
-        elif kind is SyncKind.PC_GET:
-            self._handle_get(tid, time, event)
-        elif kind is SyncKind.JOIN:
-            self._handle_join(tid, time, event)
-        elif kind is SyncKind.END:
-            self._handle_end(tid, time)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled sync kind {kind}")
+    def _handle_none(self, tid: int, time: float, event: SyncOp) -> None:
+        self.threads[tid].next_segment += 1
+        self._advance(tid)
+
+    def _handle_create(self, tid: int, time: float, event: SyncOp) -> None:
+        self._start_thread(event.obj, time)
+        self.threads[tid].next_segment += 1
+        self._advance(tid)
 
     def _handle_barrier(self, tid: int, time: float, event: SyncOp) -> None:
         cause = event.kind.value
@@ -237,7 +219,7 @@ class _Scheduler:
             self.join_waiters.setdefault(child, []).append((tid, time))
             self._block(tid, time, SyncKind.JOIN.value)
 
-    def _handle_end(self, tid: int, time: float) -> None:
+    def _handle_end(self, tid: int, time: float, event: SyncOp) -> None:
         state = self.threads[tid]
         state.done = True
         self.end_times[tid] = time
@@ -245,14 +227,31 @@ class _Scheduler:
         for waiter, _ in self.join_waiters.pop(tid, []):
             self._resume(waiter, time, SyncKind.JOIN.value)
 
+    #: Event dispatch: one handler per sync kind.  Plain functions, so
+    #: the table holds no reference back to a scheduler instance.
+    _HANDLERS = {
+        SyncKind.NONE: _handle_none,
+        SyncKind.CREATE: _handle_create,
+        SyncKind.BARRIER: _handle_barrier,
+        SyncKind.CV_BARRIER: _handle_barrier,
+        SyncKind.LOCK: _handle_lock,
+        SyncKind.UNLOCK: _handle_unlock,
+        SyncKind.PC_PUT: _handle_put,
+        SyncKind.PC_GET: _handle_get,
+        SyncKind.JOIN: _handle_join,
+        SyncKind.END: _handle_end,
+    }
+
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ScheduleResult:
         self._start_thread(0, 0.0)
-        while self.queue:
-            time, _, tid = heapq.heappop(self.queue)
-            event = self.programs[tid][self.threads[tid].next_segment]
-            self._handle(tid, time, event)
+        queue, programs, threads = self.queue, self.programs, self.threads
+        handlers = self._HANDLERS
+        while queue:
+            time, _, tid = heapq.heappop(queue)
+            event = programs[tid][threads[tid].next_segment]
+            handlers[event.kind](self, tid, time, event)
         not_done = [t for t, s in enumerate(self.threads)
                     if s.started and not s.done]
         never_started = [t for t, s in enumerate(self.threads)

@@ -12,20 +12,33 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
 class Interval:
-    """A half-open time interval [start, end)."""
+    """A half-open time interval [start, end).
 
-    start: float
-    end: float
+    A slotted value type: a replay records one per executed segment.
+    """
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval ends before it starts: {self}")
+    __slots__ = ("start", "end", "duration")
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    def __init__(self, start: float, end: float) -> None:
+        if end < start:
+            raise ValueError(
+                f"interval ends before it starts: [{start}, {end})"
+            )
+        self.start = start
+        self.end = end
+        self.duration = end - start
+
+    def __repr__(self) -> str:
+        return f"Interval(start={self.start!r}, end={self.end!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return (self.start, self.end) == (other.start, other.end)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
 
 
 @dataclass

@@ -22,6 +22,7 @@ directly; cold/invalidated accesses play the role of never-reused
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Tuple
 
 import numpy as np
@@ -29,9 +30,10 @@ import numpy as np
 from repro.lru import LRUCache
 from repro.profiler.histogram import RDHistogram
 
-#: Entries kept in the stack-distance curve memo.  A design-space sweep
-#: touches each distinct histogram a handful of times per config times
-#: five configs; a few hundred curves cover every realistic run.
+#: Entries kept in the stack-distance curve memo, one per distinct
+#: histogram content.  The 26 half-scale suite profiles hold about 500
+#: distinct histograms, and a design-space sweep hits each of them on
+#: every config it predicts.
 _SD_CACHE_MAX = 512
 
 _sd_cache = LRUCache(_SD_CACHE_MAX)
@@ -48,6 +50,27 @@ def sd_cache_clear() -> None:
     _sd_cache = LRUCache(_SD_CACHE_MAX)
 
 
+def _curve(hist: RDHistogram) -> tuple:
+    """The memo entry of ``hist``'s content.
+
+    ``(rds, counts, sds)`` as arrays, then the same curve as Python
+    lists with ``suffix[j] == counts[j:].sum()`` (summed by numpy, so
+    bit-identical for any counts), then ``hist.n_total``.
+    """
+    key = (hist.counts.tobytes(), hist.cold, hist.inval)
+    entry = _sd_cache.get(key)
+    if entry is None:
+        rds, counts, sds = _compute_stack_distances(hist)
+        suffix = [float(counts[j:].sum()) for j in range(len(counts))]
+        entry = (
+            rds, counts, sds,
+            rds.tolist(), counts.tolist(), sds.tolist(), suffix,
+            hist.n_total,
+        )
+        _sd_cache.put(key, entry)
+    return entry
+
+
 def expected_stack_distances(
     hist: RDHistogram,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,12 +85,7 @@ def expected_stack_distances(
     key — callers receive shared arrays and must treat them as
     read-only.
     """
-    key = (hist.counts.tobytes(), hist.cold, hist.inval)
-    result = _sd_cache.get(key)
-    if result is None:
-        result = _compute_stack_distances(hist)
-        _sd_cache.put(key, result)
-    return result
+    return _curve(hist)[:3]
 
 
 def _compute_stack_distances(
@@ -106,34 +124,32 @@ def miss_rate(
     """
     if cache_lines <= 0:
         raise ValueError("cache capacity must be positive")
-    total = hist.n_total
+    _, _, _, rds, counts, sds, suffix, total = _curve(hist)
     if total == 0:
         return 0.0
-    rds, counts, sds = expected_stack_distances(hist)
     finite_misses = 0.0
-    if len(rds):
-        j = int(np.searchsorted(sds, cache_lines, side="left"))
-        if j < len(rds):
-            finite_misses = counts[j:].sum()
-            # Fractional inclusion of the crossing bin: its mass is
-            # spread over the bin's own (quarter-octave) width, with
-            # the local SD-per-RD slope; mass whose stack distance
-            # falls below the capacity still hits.
-            prev_rd = rds[j - 1] if j > 0 else 0.0
-            prev_sd = sds[j - 1] if j > 0 else 0.0
-            gap = max(rds[j] - prev_rd, 1e-9)
-            slope = (sds[j] - prev_sd) / gap
-            width = min(gap, 0.19 * rds[j] + 1.0)
-            lo_sd = sds[j] - slope * width
-            if cache_lines > lo_sd and sds[j] > lo_sd:
-                covered = (cache_lines - lo_sd) / (sds[j] - lo_sd)
-                finite_misses -= counts[j] * min(max(covered, 0.0), 1.0)
+    j = bisect_left(sds, cache_lines)
+    if j < len(rds):
+        finite_misses = suffix[j]
+        # Fractional inclusion of the crossing bin: its mass is spread
+        # over the bin's own (quarter-octave) width, with the local
+        # SD-per-RD slope; mass whose stack distance falls below the
+        # capacity still hits.
+        prev_rd = rds[j - 1] if j > 0 else 0.0
+        prev_sd = sds[j - 1] if j > 0 else 0.0
+        gap = max(rds[j] - prev_rd, 1e-9)
+        slope = (sds[j] - prev_sd) / gap
+        width = min(gap, 0.19 * rds[j] + 1.0)
+        lo_sd = sds[j] - slope * width
+        if cache_lines > lo_sd and sds[j] > lo_sd:
+            covered = (cache_lines - lo_sd) / (sds[j] - lo_sd)
+            finite_misses -= counts[j] * min(max(covered, 0.0), 1.0)
     misses = finite_misses
     if include_cold:
         misses += hist.cold
     if include_inval:
         misses += hist.inval
-    return float(min(max(misses / total, 0.0), 1.0))
+    return min(max(misses / total, 0.0), 1.0)
 
 
 def miss_ratio_curve(

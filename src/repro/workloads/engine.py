@@ -73,15 +73,13 @@ from repro.workloads.spec import EpochSpec, WorkloadSpec
 class EngineStats:
     """Process-wide expansion counters (monotonic, thread-safe).
 
-    Surfaced by the serving subsystem's ``/healthz`` and diffed by the
-    bench harness for the ``expand`` section of
-    ``BENCH_profiler.json``.
+    Surfaced by the serving subsystem's ``/healthz`` (through
+    :meth:`ExpansionEngine.snapshot`, which adds the engine's memo
+    counters) and diffed by the bench harness for the ``expand``
+    section of ``BENCH_profiler.json``.
     """
 
-    _FIELDS = (
-        "workloads", "segments", "instructions", "arena_bytes",
-        "layout_hits", "layout_misses", "image_hits", "image_misses",
-    )
+    _FIELDS = ("workloads", "segments", "instructions", "arena_bytes")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -97,31 +95,9 @@ class EngineStats:
             self.instructions += instructions
             self.arena_bytes += arena_bytes
 
-    def record_layout(self, hit: bool) -> None:
+    def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            if hit:
-                self.layout_hits += 1
-            else:
-                self.layout_misses += 1
-
-    def record_image(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.image_hits += 1
-            else:
-                self.image_misses += 1
-
-    def snapshot(self) -> Dict[str, float]:
-        """Counter snapshot plus derived memo hit rates."""
-        with self._lock:
-            out: Dict[str, float] = {
-                name: getattr(self, name) for name in self._FIELDS
-            }
-        lookups = out["image_hits"] + out["image_misses"]
-        out["memo_hit_rate"] = (
-            out["image_hits"] / lookups if lookups else 0.0
-        )
-        return out
+            return {name: getattr(self, name) for name in self._FIELDS}
 
 
 #: The process-wide counter instance every engine feeds.
@@ -360,13 +336,30 @@ class ExpansionEngine:
         )
         self.stats = stats if stats is not None else ENGINE_STATS
 
+    def snapshot(self) -> Dict[str, float]:
+        """``stats`` counters plus this engine's memo counters.
+
+        Layout and image lookups are counted once, by the memos' own
+        LRUs, and read from there; ``memo_hit_rate`` is the image hit
+        rate.
+        """
+        out: Dict[str, float] = self.stats.snapshot()
+        for name, memo in (("layout", self._layouts), ("image", self._images)):
+            counts = memo.stats()
+            out[f"{name}_hits"] = counts["hits"]
+            out[f"{name}_misses"] = counts["misses"]
+        lookups = out["image_hits"] + out["image_misses"]
+        out["memo_hit_rate"] = (
+            out["image_hits"] / lookups if lookups else 0.0
+        )
+        return out
+
     # -- static memo --------------------------------------------------------
 
     def _static(
         self, lkey: Tuple, layout_seed: int, spec: EpochSpec, body_len: int
     ) -> _StaticCode:
         static = self._layouts.get(lkey)
-        self.stats.record_layout(hit=static is not None)
         if static is None:
             static = _build_static(layout_seed, spec, body_len)
             self._layouts.put(lkey, static)
@@ -385,7 +378,6 @@ class ExpansionEngine:
         if ikey is None:
             ikey = (lkey, spec.n, spec.code_lines, spec.instrs_per_line)
         image = self._images.get(ikey)
-        self.stats.record_image(hit=image is not None)
         if image is None:
             static = self._static(lkey, layout_seed, spec, body_len)
             image = _build_image(static, spec, spec.n)

@@ -141,13 +141,39 @@ class TestEquivalence:
         spec = barrier_workload(seed=77)
         eng = ExpansionEngine()
         first = eng.expand(spec)
-        stats = eng.stats.snapshot()
+        stats = eng.snapshot()
         assert stats["image_misses"] > 0
         second = eng.expand(spec)
-        after = eng.stats.snapshot()
+        after = eng.snapshot()
         assert after["image_misses"] == stats["image_misses"]
         assert after["image_hits"] > stats["image_hits"]
         assert_traces_equal(first, second)
+
+    def test_memo_counters_equal_lookups(self):
+        # Each non-empty segment looks its image up once per expansion,
+        # and each image miss looks its layout up once; the engine's
+        # snapshot reports exactly those lookups, counted by the LRUs.
+        spec = barrier_workload(seed=91)
+        eng = ExpansionEngine(stats=EngineStats())
+        trace = eng.expand(spec)
+        eng.expand(spec)
+        keys = [
+            seg.block.static_key
+            for thread in trace.threads
+            for seg in thread.segments
+            if seg.block.static_key is not None
+        ]
+        assert keys
+        snap = eng.snapshot()
+        assert snap["image_hits"] + snap["image_misses"] == 2 * len(keys)
+        assert snap["image_misses"] == len(set(keys))
+        assert (
+            snap["layout_hits"] + snap["layout_misses"]
+            == snap["image_misses"]
+        )
+        assert snap["memo_hit_rate"] == snap["image_hits"] / (2 * len(keys))
+        # One set of counters: the shared stats hold none of them.
+        assert "image_hits" not in eng.stats.snapshot()
 
     def test_image_memo_byte_budget(self, monkeypatch):
         # An engine whose memo cannot hold anything still expands
